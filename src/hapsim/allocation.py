@@ -12,6 +12,7 @@ handed out greedily in fixed spectral-efficiency steps, cheapest user first.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -173,9 +174,13 @@ def fill_remaining_power(
     so the heap is keyed by p_max * 2^R / (rho * g) (ties by user id) and a
     grant multiplies the key by 2^delta_r. When the leftover no longer covers
     the cheapest full step, the cheapest user absorbs it as a partial grant.
+    A NaN or infinite leftover never falls below a step, so it raises
+    ValueError instead of granting forever.
     """
     omega = {uid: float(w) for uid, w in omega_min.items()}
     p_rem = p_total - p_max * sum(omega.values())
+    if not math.isfinite(p_rem):
+        raise ValueError(f"power budget is not finite (leftover {p_rem!r})")
     if p_rem < -1e-9 * p_total:
         raise PowerBudgetError(-p_rem)
     step = 2.0 ** qos.delta_r - 1.0

@@ -127,11 +127,20 @@ def _axis_nodes(centers: np.ndarray, half_width: float, n: int, rule: str):
     return centers[:, None] + half_width * t, w / 2.0
 
 
-# complex entries of the (users, M, nodes) phase tensor built per chunk:
-# 64 KiB buffers, under the C allocator's default mmap threshold, so every
-# chunk reuses the previous chunk's heap memory (chunks of 2^14-2^16
-# entries raised the peak RSS of a sweep by 2-5 MB)
+# complex entries of the largest array built per chunk of users (the
+# (phi, theta) node grid, a lag factor or the lag table in
+# correlation_matrices): 64 KiB buffers, under the C allocator's default
+# mmap threshold, so every chunk reuses the previous chunk's heap memory
+# (chunks of 2^14-2^16 entries raised the peak RSS of a sweep by 2-5 MB)
 _CHUNK_ENTRIES = 1 << 12
+
+
+def _unit_phasors(phase: np.ndarray) -> np.ndarray:
+    """exp(j*phase) from one cos and one sin per entry."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def correlation_matrices(
@@ -149,10 +158,19 @@ def correlation_matrices(
         beta_u / (4*dphi*dth) * integral over [phi_u +- dphi] x [th_u +- dth]
         of exp(j * k(phi, th)^T (pos_a - pos_b)) dphi dth
 
-    with k the array wave vector, evaluated by a tensor-product rule. The
-    normalized-weight outer-product form C = beta * V diag(w) V^H makes every
-    matrix Hermitian PSD by construction with diagonal exactly beta. Users
-    are processed in chunks, each as one stacked product.
+    with k the array wave vector, evaluated by a tensor-product rule. On a
+    UPA the integrand depends only on the lag (di, dj) = (i_a - i_b,
+    j_a - j_b), so the rule is applied to the (2*m_x - 1)(2*m_y - 1)
+    distinct lags and the block-Toeplitz matrix is gathered from them,
+    C[a, b] = beta * L(i_a - i_b, j_a - j_b) with
+
+        L(di, dj) = sum_th w_th y(th)^dj sum_phi w_phi z(phi, th)^di,
+        z = exp(-2j*pi*d_h*sin(th)*cos(phi)),  y = exp(-2j*pi*d_v*cos(th)),
+
+    with powers of z and y built by repeated multiplication. Lags with
+    di < 0, or di = 0 and dj < 0, are the conjugates of their mirrors, so
+    every matrix is exactly Hermitian; its diagonal equals beta and it is
+    PSD, both to rounding. Users are processed in chunks.
     """
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be >= 1")
@@ -162,31 +180,47 @@ def correlation_matrices(
     if np.any(beta_nlos < 0):
         raise ValueError("beta_nlos must be >= 0")
 
+    m_x, m_y = cfg.m_x, cfg.m_y
+    n_dj = 2 * m_y - 1
     i_idx, j_idx = element_indices(cfg)
+    # flat position of lag (i_a - i_b, j_a - j_b) in a (2*m_x - 1, n_dj) table
+    lag = (i_idx[:, None] - i_idx + m_x - 1) * n_dj + (j_idx[:, None] - j_idx + m_y - 1)
+    azimuth = np.array([a.azimuth for a in angles], dtype=float)
+    elevation = np.array([a.elevation for a in angles], dtype=float)
     mats = np.empty((len(angles), cfg.m_total, cfg.m_total), dtype=complex)
-    phis, w_phi = _axis_nodes(
-        np.array([a.azimuth for a in angles], dtype=float),
-        spread.delta_phi, quadrature_points, rule,
-    )
-    thes, w_th = _axis_nodes(
-        np.array([a.elevation for a in angles], dtype=float),
-        spread.delta_theta, quadrature_points, rule,
-    )
-    n_phi, n_th = phis.shape[1], thes.shape[1]
-    w = np.outer(w_phi, w_th).ravel()
-    scale = 0.5 * beta_nlos
-    step = max(1, _CHUNK_ENTRIES // (cfg.m_total * n_phi * n_th))
+    n_phi = 1 if spread.delta_phi == 0.0 else quadrature_points
+    n_th = 1 if spread.delta_theta == 0.0 else quadrature_points
+    per_user = max(max(n_phi, m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
+    step = max(1, _CHUNK_ENTRIES // per_user)
     for lo in range(0, len(angles), step):
         hi = lo + step
-        # mu grids on the flattened (phi, theta) tensor product, per user
-        sin_th = np.sin(thes[lo:hi])[:, None, :]
-        mu_phi = (sin_th * np.cos(phis[lo:hi])[:, :, None]).reshape(-1, 1, n_phi * n_th)
-        mu_h = np.tile(np.cos(thes[lo:hi]), (1, n_phi))[:, None, :]
-        # array wave vector y/z components reduce to -2*pi*(d*index*mu) phases
-        phase = cfg.d_h * (i_idx[:, None] * mu_phi) + cfg.d_v * (j_idx[:, None] * mu_h)
-        v = np.exp(-2j * np.pi * phase)
-        c = (v * w) @ v.conj().transpose(0, 2, 1)
-        mats[lo:hi] = scale[lo:hi, None, None] * (c + c.conj().transpose(0, 2, 1))
+        phis, w_phi = _axis_nodes(azimuth[lo:hi], spread.delta_phi, quadrature_points, rule)
+        thes, w_th = _axis_nodes(elevation[lo:hi], spread.delta_theta, quadrature_points, rule)
+        # azimuth lag factor, summed over phi: az[u, di, th] for di = 0..m_x-1
+        z = _unit_phasors(
+            (-2.0 * np.pi * cfg.d_h) * np.sin(thes)[:, None, :] * np.cos(phis)[:, :, None]
+        )
+        az = np.empty((len(phis), m_x, n_th), dtype=complex)
+        az[:, 0] = w_phi.sum()
+        for di in range(1, m_x):
+            power = z if di == 1 else power * z
+            np.matmul(w_phi, power, out=az[:, di])
+        # weighted elevation lag factor el[u, th, dj + m_y - 1]
+        el = np.empty((len(thes), n_th, n_dj), dtype=complex)
+        el[..., m_y - 1] = 1.0
+        if m_y > 1:
+            el[..., m_y] = _unit_phasors((-2.0 * np.pi * cfg.d_v) * np.cos(thes))
+        for dj in range(2, m_y):
+            np.multiply(el[..., m_y + dj - 2], el[..., m_y], out=el[..., m_y + dj - 1])
+        el[..., : m_y - 1] = el[..., : m_y - 1 : -1].conj()
+        el *= w_th[:, None]
+        # lag table (u, di + m_x - 1, dj + m_y - 1), scaled by beta
+        table = np.empty((len(phis), 2 * m_x - 1, n_dj), dtype=complex)
+        np.matmul(az, el, out=table[:, m_x - 1:])
+        table[:, m_x - 1, : m_y - 1] = table[:, m_x - 1, : m_y - 1 : -1].conj()
+        table[:, : m_x - 1] = table[:, : m_x - 1 : -1, ::-1].conj()
+        table *= beta_nlos[lo:hi, None, None]
+        np.take(table.reshape(len(table), -1), lag, axis=1, out=mats[lo:hi], mode="clip")
     return mats
 
 

@@ -141,6 +141,13 @@ class ScenarioConfig:
 
     def resolve(self) -> "ScenarioConfig":
         """Fill derived fields and validate; harness entry points need this."""
+        # before anything is derived from them: NaN passes every range
+        # check below, and inf bandwidth breaks the nbr derivation
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         nbr = self.nbr
         if nbr is None:
             if self.bandwidth == 10e6:

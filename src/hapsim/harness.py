@@ -39,7 +39,7 @@ from .dofgrid import (
     OutOfCoverageError,
     cell_center,
     locate,
-    orthogonality_defect,
+    steering_correlation,
 )
 from .geometry import (
     AngularCoordinates,
@@ -480,13 +480,11 @@ def heatmap(
         key = min(groups, key=lambda k: (-len(groups[k]), k))
         members = sorted(groups[key], key=lambda m: m[0])
         ids = [uid for uid, _ in members]
-        n = len(members)
-        matrix = np.zeros((n, n))
-        for a in range(n):
-            for b in range(n):
-                matrix[a, b] = orthogonality_defect(
-                    members[a][1], members[b][1], acfg
-                )
+        mu_phi = np.array([angles.mu_phi for _, angles in members])
+        mu_h = np.array([angles.mu_h for _, angles in members])
+        matrix = steering_correlation(
+            mu_phi[:, None] - mu_phi, mu_h[:, None] - mu_h, acfg
+        )
         header = ["user"] + [str(uid) for uid in ids]
         rows = [[uid] + [float(x) for x in matrix[i]] for i, uid in enumerate(ids)]
     if out_dir is not None:

@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import ACCEPTANCE_REPORTS
 
@@ -423,6 +424,7 @@ def _gap_text(means, target, powers) -> str:
     return "; ".join(parts)
 
 
+@pytest.mark.slow
 def test_07_sum_rate_ordering():
     """Mean sum rate must peak at the documented clustering granularity.
 

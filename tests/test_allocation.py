@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import deadline
 from hapsim.dofgrid import GridCell
 from hapsim.allocation import (
     PowerBudgetError,
@@ -217,6 +218,17 @@ class TestFillRemainingPower:
         lo = model_sum(floor_power * 1.5)
         hi = model_sum(floor_power * 3.0)
         assert hi >= lo - 1e-9
+
+    @pytest.mark.parametrize("p_max, p_total", [
+        (float("nan"), 4.0), (1.0, float("nan")), (1.0, float("inf")),
+        (float("inf"), 4.0),
+    ])
+    def test_non_finite_budget_raises(self, p_max, p_total):
+        gains = {0: 1.0, 1: 0.3}
+        qos = QoSSpec(r_min=1.0, delta_r=0.05)
+        omega_min = {0: 0.1, 1: 0.3}
+        with deadline(5.0), pytest.raises(ValueError, match="not finite"):
+            fill_remaining_power(omega_min, gains, 10.0, p_max, p_total, qos)
 
     def test_greedy_local_optimality(self):
         # moving one granted delta_r step to any other user cannot help

@@ -7,11 +7,13 @@ from hapsim.geometry import (
     AngularCoordinates,
     UserPosition,
     array_wave_vector,
+    element_indices,
     element_position,
     user_angles,
 )
 from hapsim.channel import (
     ChannelStats,
+    _axis_nodes,
     FadingModel,
     InvalidCovarianceError,
     LargeScaleFading,
@@ -139,6 +141,67 @@ class TestCorrelationMatrix:
         c2 = correlation_matrix(self.ang, self.spread, 1.0, self.cfg, 32)
         scale = np.abs(c2).max()
         assert np.abs(c1 - c2).max() < 1e-6 * scale
+
+
+def reference_correlation_matrices(angles, spread, beta_nlos, cfg, quadrature_points, rule):
+    """Element-domain one-ring covariances, beta * V diag(w) V^H per user.
+
+    V holds the un-normalized array response at every (phi, theta) node, so
+    this is the quadrature of the integral in correlation_matrices written
+    out over all M^2 entries, without the lag structure.
+    """
+    i_idx, j_idx = element_indices(cfg)
+    mats = []
+    for a, beta in zip(angles, beta_nlos):
+        phis, w_phi = _axis_nodes(np.array([a.azimuth]), spread.delta_phi,
+                                  quadrature_points, rule)
+        thes, w_th = _axis_nodes(np.array([a.elevation]), spread.delta_theta,
+                                 quadrature_points, rule)
+        phi, th = np.meshgrid(phis[0], thes[0], indexing="ij")
+        mu_phi = (np.sin(th) * np.cos(phi)).ravel()
+        mu_h = np.cos(th).ravel()
+        phase = cfg.d_h * np.outer(i_idx, mu_phi) + cfg.d_v * np.outer(j_idx, mu_h)
+        v = np.exp(-2j * np.pi * phase)
+        w = np.outer(w_phi, w_th).ravel()
+        mats.append(beta * (v * w) @ v.conj().T)
+    return np.array(mats)
+
+
+def random_users(n, seed):
+    rng = np.random.default_rng(seed)
+    angles = [
+        AngularCoordinates(azimuth=float(az), elevation=float(el), mu_phi=0.0, mu_h=0.0)
+        for az, el in zip(rng.uniform(-1.0, 1.0, n), rng.uniform(0.05, 1.5, n))
+    ]
+    return angles, 10.0 ** rng.uniform(-14.0, -10.0, n)
+
+
+class TestLagDomainMatchesOracle:
+    """The lag-domain quadrature equals the element-domain formula to
+    1e-13 * beta per entry, and every matrix is exactly Hermitian."""
+
+    @staticmethod
+    def check(angles, spread, beta, cfg, q, rule):
+        c = correlation_matrices(angles, spread, beta, cfg, q, rule)
+        ref = reference_correlation_matrices(angles, spread, beta, cfg, q, rule)
+        assert np.max(np.abs(c - ref) / beta[:, None, None]) <= 1e-13
+        assert np.array_equal(c, c.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("q", [1, 5])
+    @pytest.mark.parametrize("spread_deg", [(2.0, 3.0), (0.0, 3.0), (2.0, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("rule", ["gauss", "midpoint"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 5), (4, 4), (8, 8)])
+    def test_configs(self, shape, rule, spread_deg, q):
+        cfg = ArrayConfig(m_x=shape[0], m_y=shape[1], d_h=0.5, d_v=0.7)
+        spread = ScatteringSpread(*np.radians(spread_deg))
+        angles, beta = random_users(25, seed=sum(shape) + q)
+        self.check(angles, spread, beta, cfg, q, rule)
+
+    def test_many_chunks(self):
+        # 700 users at 64 nodes each: ten full chunks and a partial one
+        angles, beta = random_users(700, seed=4)
+        spread = ScatteringSpread(np.radians(2.0), np.radians(2.0))
+        self.check(angles, spread, beta, ArrayConfig(d_h=0.45, d_v=0.6), 8, "gauss")
 
 
 class TestLargeScaleFading:

@@ -1,6 +1,15 @@
 import pytest
 
+from conftest import deadline
+from hapsim import cli
 from hapsim.config import ConfigError, ScenarioConfig, load_config, parse_config
+
+FLOAT_KEYS = (
+    "coverage_radius", "haps_altitude", "carrier_freq", "bandwidth", "bw_rb",
+    "d_h", "d_v", "p_max", "p_total", "r_min", "delta_r", "noise_psd",
+    "noise_figure", "sigma_sf", "nlos_penalty_db", "spread_phi_deg",
+    "spread_theta_deg",
+)
 
 
 class TestDefaults:
@@ -59,6 +68,33 @@ class TestValidation:
     def test_bandwidth_below_rb(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(bandwidth=100e3).resolve()
+
+
+class TestNonFinite:
+    """Every float key rejects NaN and infinities with a ConfigError that
+    the CLI reports (exit 2), within a wall-clock bound: before the check,
+    p_max = nan hung `hapsim run` in the greedy power fill."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_cli_rejects(self, key, value, tmp_path, capsys):
+        line = f"sigma_sf = 4, {value}" if key == "sigma_sf" else f"{key} = {value}"
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"bandwidth = 1.8e6\nquadrature_points = 4\ntrials = 1\n{line}\n")
+        with deadline(10.0):
+            code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_keys_are_every_float_field(self):
+        from hapsim.config import _ALL_KEYS, _INT_KEYS, _STR_KEYS
+
+        assert set(FLOAT_KEYS) == _ALL_KEYS - _INT_KEYS - _STR_KEYS
+
+    def test_negative_infinity(self):
+        with pytest.raises(ConfigError, match="noise_psd must be finite"):
+            parse_config("noise_psd = -inf")
 
 
 class TestParse:

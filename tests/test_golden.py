@@ -1,9 +1,10 @@
 """CLI outputs pinned byte for byte against committed golden files.
 
-The goldens were written by the per-user (unbatched) trial pipeline for
-the tiny config that test_09 also runs; batching the pipeline must not
-move a single output byte. Regenerate them only for a deliberate output
-change, and say why in CHANGES.md:
+The goldens hold the tiny config that test_09 also runs. They were last
+rewritten when the one-ring covariance moved to its lag-domain form, which
+changes floating-point rounding; refactors must not move a single output
+byte. Regenerate them only for a deliberate output change, and say why in
+CHANGES.md:
 
     hapsim run --config tests/golden/tiny.cfg --out tests/golden/run
     hapsim sweep-power --powers-dbm 40,46 --config tests/golden/tiny.cfg \\

@@ -207,20 +207,34 @@ class TestSweepRb:
         assert lines == ["r,L,trial,user,rate_bps"]
 
 
+def pairwise_defects(cfg, ids):
+    """Reference heatmap: one orthogonality_defect call per ordered pair."""
+    served, _, _ = place_and_cluster(cfg, cfg.seed, 0)
+    angles = {uid: ang for uid, _, ang, _ in served}
+    acfg = cfg.array_config()
+    return np.array([
+        [orthogonality_defect(angles[ua], angles[ub], acfg) for ub in ids]
+        for ua in ids
+    ])
+
+
 class TestHeatmap:
     def test_matches_orthogonality_defect(self, tmp_path):
         cfg = fast_cfg()
         ids, matrix = heatmap(cfg, out_dir=tmp_path)
         assert len(ids) >= 2
-        served, _, _ = place_and_cluster(cfg, cfg.seed, 0)
-        angles = {uid: ang for uid, _, ang, _ in served}
-        acfg = cfg.array_config()
-        for a, ua in enumerate(ids):
-            assert matrix[a, a] == 1.0
-            for b, ub in enumerate(ids):
-                assert matrix[a, b] == pytest.approx(
-                    orthogonality_defect(angles[ua], angles[ub], acfg), abs=1e-12
-                )
+        assert np.all(np.diag(matrix) == 1.0)
+        assert np.array_equal(matrix, pairwise_defects(cfg, ids))
+
+    @pytest.mark.parametrize("overrides", [
+        {"users_per_trial": 1200},  # crowded disk drop: one 100+ member group
+        {"m_y": 8},
+    ])
+    def test_broadcast_equals_pairwise_loop(self, overrides):
+        cfg = fast_cfg(**overrides)
+        ids, matrix = heatmap(cfg)
+        assert len(ids) >= 2
+        assert np.array_equal(matrix, pairwise_defects(cfg, ids))
 
     def test_csv_diagonal_exact(self, tmp_path):
         cfg = fast_cfg()
