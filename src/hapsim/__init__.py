@@ -2,80 +2,4 @@
 sectorized cylindrical array: beam-domain channel statistics, grid-based user
 clustering, resource block assignment and QoS-first power allocation."""
 
-from .allocation import (
-    Cluster,
-    PowerAllocation,
-    PowerBudgetError,
-    QoSSpec,
-    ResourcePlan,
-    assign_resource_blocks,
-    cluster_users,
-    fill_remaining_power,
-    min_power_coefficients,
-    scaled_min_power,
-)
-from .channel import (
-    ChannelStats,
-    FadingModel,
-    InvalidCovarianceError,
-    LargeScaleFading,
-    ScatteringSpread,
-    composite_steering,
-    correlation_matrices,
-    correlation_matrix,
-    large_scale_fading,
-    los_channel,
-    path_loss_db,
-    sample_channel,
-    steering,
-)
-from .config import ConfigError, ScenarioConfig, load_config, parse_config
-from .dofgrid import (
-    GridCell,
-    OutOfCoverageError,
-    SectionGrid,
-    SubsectionGrid,
-    build_section_grid,
-    cell_center,
-    dof_azimuth,
-    dof_elevation,
-    locate,
-    orthogonality_defect,
-    steering_correlation,
-    subsections_per_section,
-)
-from .geometry import (
-    AngularCoordinates,
-    ArrayConfig,
-    SPEED_OF_LIGHT,
-    UserPosition,
-    drop_users,
-    sector_boresight,
-    sector_of,
-    user_angles,
-)
-from .harness import (
-    TrialRecord,
-    TrialState,
-    dbm_to_watts,
-    evaluate_trial,
-    heatmap,
-    prepare_trial,
-    run,
-    run_trial,
-    sweep_power,
-    sweep_rb,
-)
-from .rate import (
-    ConstraintReport,
-    Precoder,
-    RateReport,
-    ServedUser,
-    SinrReport,
-    build_precoder,
-    evaluate_objective,
-    rate,
-    sinr,
-)
-
 __version__ = "0.1.0"

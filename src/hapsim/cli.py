@@ -7,14 +7,21 @@
 
 Each subcommand writes <name>.csv plus meta.txt (resolved config and its
 fingerprint) into --out. Reruns with the same config are byte-identical.
+sweep-power, sweep-rb and heatmap then print a text summary to stdout: the
+layout ranking per power, the per-user rate deciles per (r, L), and the
+fullest cluster's size with its mean off-diagonal orthogonality defect.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
 
 from . import harness
 from .config import ConfigError, ScenarioConfig, load_config
@@ -79,35 +86,104 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
+def _parse_list(text: str, convert: Callable[[str], object], option: str) -> tuple:
+    """Comma separated values of a list option, ConfigError on a bad entry
+    or a repeated one (the sweeps would count its trials twice)."""
+    try:
+        values = tuple(convert(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{option}: bad comma separated list {text!r}") from None
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{option} repeats a value in {text!r}")
+    return values
+
+
+def _parse_powers(text: str) -> tuple[float, ...]:
+    powers = _parse_list(text, float, "--powers-dbm")
+    if not all(math.isfinite(p) for p in powers):
+        raise ConfigError(f"--powers-dbm must be finite, got {text!r}")
+    return powers
+
+
+def _power_ranking(cfg: ScenarioConfig, rows: Sequence[dict]) -> list[str]:
+    """Layouts ranked by mean sum rate at each power."""
+    by_power: dict[float, list[dict]] = {}
+    for row in rows:
+        by_power.setdefault(row["p_max_dbm"], []).append(row)
+    lines = [f"bandwidth {cfg.bandwidth / 1e6:g} MHz, {cfg.trials} trials per point"]
+    for p in sorted(by_power):
+        ranked = sorted(by_power[p], key=lambda r: -r["mean_sum_rate_bps"])
+        order = "  ".join(
+            f"(L={r['L']},r={r['r']}) {r['mean_sum_rate_bps'] / 1e6:8.2f}"
+            for r in ranked
+        )
+        lines.append(f"  {p:5.1f} dBm  {order}  [Mbit/s]")
+    return lines
+
+
+def _rate_deciles(cfg: ScenarioConfig, rows: Sequence[dict]) -> list[str]:
+    """Per-user rate deciles for each (r, L)."""
+    samples: dict[tuple[int, int], list[float]] = {}
+    for row in rows:
+        samples.setdefault((row["r"], row["L"]), []).append(row["rate_bps"])
+    qs = np.arange(0.1, 1.0, 0.1)
+    lines = [f"bandwidth {cfg.bandwidth / 1e6:g} MHz, {cfg.trials} trials, "
+             "per-user rate deciles [Mbit/s]"]
+    for (r, l_count), vals in sorted(samples.items()):
+        deciles = np.quantile(np.asarray(vals) / 1e6, qs)
+        body = " ".join(f"{d:7.3f}" for d in deciles)
+        lines.append(f"  r={r} L={l_count} n={len(vals):5d}  {body}")
+    return lines
+
+
+def _heatmap_defect(cfg: ScenarioConfig, ids: Sequence[int],
+                    matrix: np.ndarray) -> list[str]:
+    """Member count and mean off-diagonal defect of the fullest cluster."""
+    head = f"L={cfg.subsection_grid().l_count} r={cfg.r}"
+    n = len(ids)
+    if n < 2:
+        return [f"{head}  no cluster holds more than one user"]
+    off = (matrix.sum() - np.trace(matrix)) / (n * (n - 1))
+    return [f"{head}  fullest cluster {n} users, "
+            f"mean off-diagonal orthogonality defect {off:.4f}"]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    out: Path = args.out
+    summary: list[str] = []
     try:
         cfg = _load(args)
+        if args.command == "run":
+            harness.run(cfg, out_dir=out, workers=args.workers)
+            name = "run"
+        elif args.command == "sweep-power":
+            if args.powers_dbm is not None:
+                powers = _parse_powers(args.powers_dbm)
+            else:
+                powers = DEFAULT_POWERS_DBM
+            rows = harness.sweep_power(cfg, powers, out_dir=out, workers=args.workers)
+            name = "sweep_power"
+            summary = _power_ranking(cfg, rows)
+        elif args.command == "sweep-rb":
+            r_values = None
+            if args.r is not None:
+                r_values = _parse_list(args.r, int, "--r")
+            rows = harness.sweep_rb(cfg, r_values, out_dir=out, workers=args.workers)
+            name = "sweep_rb"
+            summary = _rate_deciles(cfg, rows)
+        else:
+            ids, matrix = harness.heatmap(cfg, out_dir=out)
+            name = "heatmap"
+            summary = _heatmap_defect(cfg, ids, matrix)
     except (ConfigError, OSError) as exc:
+        # harness.sweep_rb resolves each --r value before any trial runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out: Path = args.out
-    if args.command == "run":
-        harness.run(cfg, out_dir=out, workers=args.workers)
-        name = "run"
-    elif args.command == "sweep-power":
-        if args.powers_dbm is not None:
-            powers = tuple(float(x) for x in args.powers_dbm.split(","))
-        else:
-            powers = DEFAULT_POWERS_DBM
-        harness.sweep_power(cfg, powers, out_dir=out, workers=args.workers)
-        name = "sweep_power"
-    elif args.command == "sweep-rb":
-        r_values = None
-        if args.r is not None:
-            r_values = tuple(int(x) for x in args.r.split(","))
-        harness.sweep_rb(cfg, r_values, out_dir=out, workers=args.workers)
-        name = "sweep_rb"
-    else:
-        harness.heatmap(cfg, out_dir=out)
-        name = "heatmap"
     print(f"wrote {out / (name + '.csv')}")
     print(f"wrote {out / 'meta.txt'}")
+    for line in summary:
+        print(line)
     return 0
 
 

@@ -50,8 +50,8 @@ class ScenarioConfig:
     d_h: float = 0.5
     d_v: float = 0.5
     n_sectors: int = 6
-    p_max: float = 10.0
-    p_total: float | None = None
+    p_max: float = 10.0         # W, power scale inside rho
+    p_total: float | None = None  # W, caps p_max * sum(omega) over all sectors
     r_min: float = 1.0
     delta_r: float = 0.05
     noise_psd: float = -174.0   # dBm/Hz

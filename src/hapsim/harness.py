@@ -80,7 +80,7 @@ class TrialState:
     plan: ResourcePlan
     gains: dict[int, float]
     unserved: int
-    interference: InterferenceMap | None = None
+    interference: InterferenceMap
 
 
 class UserRow(NamedTuple):
@@ -281,8 +281,8 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
     except PowerBudgetError:
         power = scaled_min_power(state.gains, rho, qos, p_max, p_total)
     report, constraints = evaluate_objective(
-        state.users, state.plan, power, qos, rho, cfg.bw_rb, cfg.array_config(),
-        allocator_gains=state.gains, interference=state.interference,
+        state.users, state.plan, power, qos, rho, cfg.bw_rb,
+        state.gains, state.interference,
     )
     rows = tuple(
         UserRow(

@@ -27,25 +27,6 @@ from .geometry import AngularCoordinates, ArrayConfig
 
 
 @dataclass(frozen=True)
-class Precoder:
-    """Unit-norm steering columns for one (sector, cluster) member group."""
-
-    user_ids: tuple[int, ...]
-    columns: np.ndarray  # (M, n), column k serves user_ids[k]
-
-    def column_of(self, user_id: int) -> np.ndarray:
-        return self.columns[:, self.user_ids.index(user_id)]
-
-
-@dataclass(frozen=True)
-class SinrReport:
-    signal: float
-    interference: float  # noise-normalized total
-    sinr: float
-    per_interferer: Mapping[int, float]
-
-
-@dataclass(frozen=True)
 class ServedUser:
     """Everything the rate evaluator needs to know about one scheduled user."""
 
@@ -69,29 +50,7 @@ class ConstraintReport:
     power_margin_w: float            # p_total - p_max * sum(omega)
     qos_margin_model: float          # min over users, allocator gain model
     qos_margin_realized: float       # min over users, with interference
-    min_omega: float
     qos_feasible: bool
-
-    @property
-    def satisfied(self) -> bool:
-        return (
-            self.power_margin_w >= -1e-9
-            and self.qos_margin_model >= -1e-9
-            and self.min_omega >= 0.0
-        )
-
-
-def build_precoder(
-    members: Sequence[tuple[int, AngularCoordinates]], cfg: ArrayConfig
-) -> Precoder:
-    """Stack unit steering columns at the members' nominal directions."""
-    if not members:
-        raise ValueError("precoder needs at least one member")
-    ids = tuple(uid for uid, _ in members)
-    cols = np.column_stack(
-        [composite_steering(a.mu_phi, a.mu_h, cfg) for _, a in members]
-    )
-    return Precoder(user_ids=ids, columns=cols)
 
 
 def _group_members(users: Sequence[ServedUser]) -> dict[tuple[int, int], list[int]]:
@@ -107,8 +66,10 @@ def _group_members(users: Sequence[ServedUser]) -> dict[tuple[int, int], list[in
 
 def build_cluster_precoders(
     users: Sequence[ServedUser], cfg: ArrayConfig
-) -> dict[tuple[int, int], Precoder]:
-    """One precoder per (sector, cluster) group, members ordered by user id.
+) -> dict[tuple[int, int], np.ndarray]:
+    """One precoder per (sector, cluster) group: an (M, n) array whose
+    column k is the unit steering vector of the group's k-th member by
+    user id.
 
     Angle-only, so the result can be computed once per trial and reused
     across power points.
@@ -119,10 +80,7 @@ def build_cluster_precoders(
         cfg,
     )
     return {
-        key: Precoder(
-            user_ids=tuple(users[i].user_id for i in idx),
-            columns=np.ascontiguousarray(steer[idx].T),
-        )
+        key: np.ascontiguousarray(steer[idx].T)
         for key, idx in _group_members(users).items()
     }
 
@@ -149,7 +107,7 @@ class InterferenceMap:
 def build_interference_map(
     users: Sequence[ServedUser],
     plan: ResourcePlan,
-    precoders: Mapping[tuple[int, int], Precoder],
+    precoders: Mapping[tuple[int, int], np.ndarray],
 ) -> InterferenceMap:
     """Gains, same-cell masks and block sharing of one trial, power-free.
 
@@ -177,7 +135,7 @@ def build_interference_map(
         members = np.array([groups[k] for k in ks])
         rows = np.array([start[k] for k in ks])[:, None] + np.arange(size)
         proj = np.abs(
-            channels[members].conj() @ np.stack([precoders[k].columns for k in ks])
+            channels[members].conj() @ np.stack([precoders[k] for k in ks])
         ) ** 2
         own_gain[rows] = np.diagonal(proj, axis1=1, axis2=2)
         # same group, different cell: in one group that means another section
@@ -207,7 +165,7 @@ def build_interference_map(
                     wrapped.append((start[key] + a, pos, tuple(
                         (
                             slice(start[o], start[o] + len(groups[o])),
-                            np.abs(h_conj @ precoders[o].columns) ** 2,
+                            np.abs(h_conj @ precoders[o]) ** 2,
                         )
                         for o in others
                     )))
@@ -223,47 +181,6 @@ def build_interference_map(
     )
 
 
-def sinr(
-    user_id: int,
-    channels: Mapping[int, np.ndarray],
-    precoder: Precoder,
-    omega: Mapping[int, float],
-    rho: float,
-) -> SinrReport:
-    """SINR of one user against every other precoder column.
-
-    Callers encode scheduling in omega: a co-scheduled interferer carries its
-    effective power coefficient (time-share weighted if its cell is shared),
-    an inactive user simply carries 0.
-    """
-    h = channels[user_id]
-    projections = np.abs(h.conj() @ precoder.columns) ** 2
-    per_interferer = {}
-    signal = 0.0
-    for k, uid in enumerate(precoder.user_ids):
-        power = rho * omega.get(uid, 0.0) * float(projections[k])
-        if uid == user_id:
-            signal = power
-        else:
-            per_interferer[uid] = power
-    interference = sum(per_interferer.values())
-    return SinrReport(
-        signal=signal,
-        interference=interference,
-        sinr=signal / (interference + 1.0),
-        per_interferer=per_interferer,
-    )
-
-
-def rate(sinr_value: float, rb_per_user: int, bw_rb: float, time_share: float) -> float:
-    """Throughput of one user over its blocks and time slots, bits/s."""
-    if sinr_value < 0:
-        raise ValueError("sinr must be >= 0")
-    if not 0.0 <= time_share <= 1.0:
-        raise ValueError("time_share must lie in [0, 1]")
-    return time_share * rb_per_user * bw_rb * float(np.log2(1.0 + sinr_value))
-
-
 def evaluate_objective(
     users: Sequence[ServedUser],
     plan: ResourcePlan,
@@ -271,26 +188,23 @@ def evaluate_objective(
     qos: QoSSpec,
     rho: float,
     bw_rb: float,
-    cfg: ArrayConfig,
-    allocator_gains: Mapping[int, float] | None = None,
-    precoders: Mapping[tuple[int, int], Precoder] | None = None,
-    interference: InterferenceMap | None = None,
+    allocator_gains: Mapping[int, float],
+    interference: InterferenceMap,
 ) -> tuple[RateReport, ConstraintReport]:
     """Realized rates for a full trial plus constraint margins.
 
-    Groups users by (sector, cluster), builds one precoder per group, and
-    evaluates each user block by block. With disjoint block sets every block
-    of a user sees the same interferers; when the plan reuses blocks across
-    clusters the wrapped blocks also collect the other cluster's users.
-    Pass the build_cluster_precoders and build_interference_map results to
-    reuse them across power points.
+    interference is build_interference_map's result for these users, built
+    once per trial and reused at every power point. Each user is evaluated
+    block by block: with disjoint block sets every block of a user sees the
+    same interferers; when the plan reuses blocks across clusters the
+    wrapped blocks also collect the other cluster's users.
     """
-    if interference is None:
-        if precoders is None:
-            precoders = build_cluster_precoders(users, cfg)
-        interference = build_interference_map(users, plan, precoders)
     im = interference
     uids = im.user_ids
+    if len(users) != len(uids):
+        raise ValueError(
+            f"interference map holds {len(uids)} users, trial has {len(users)}"
+        )
     omega = np.array([power.omega[uid] for uid in uids], dtype=float)
     omega_eff = omega * im.time_share
     own = im.own_gain * omega
@@ -319,35 +233,21 @@ def evaluate_objective(
     ses = dict(zip(uids, se_list))
     sinrs = {uid: 2.0 ** v - 1.0 for uid, v in zip(uids, se_list)}
     sum_rate = float(sum(rate_list))
-    spent = power.p_max * sum(power.omega.values())
 
     if uids:
-        if allocator_gains is None:
-            if precoders is None:
-                precoders = build_cluster_precoders(users, cfg)
-            allocator_gains = {
-                u.user_id: float(np.abs(np.vdot(
-                    u.channel,
-                    precoders[(u.cell.sector, u.cell.subsection)].column_of(u.user_id),
-                )) ** 2)
-                for u in users
-            }
         gain = np.array([allocator_gains[uid] for uid in uids], dtype=float)
         model_margin = float(np.min(np.log2(1.0 + rho * omega * gain) - qos.r_min))
         realized_margin = float(np.min(se - qos.r_min))
-        min_omega = float(np.min(omega))
     else:
         model_margin = float("inf")
         realized_margin = float("inf")
-        min_omega = float("inf")
     report = RateReport(
         rates=rates, spectral_efficiency=ses, sinr=sinrs, sum_rate=sum_rate
     )
     constraints = ConstraintReport(
-        power_margin_w=power.p_total - spent,
+        power_margin_w=power.p_total - power.spent,
         qos_margin_model=model_margin,
         qos_margin_realized=realized_margin,
-        min_omega=min_omega,
         qos_feasible=power.qos_feasible,
     )
     return report, constraints

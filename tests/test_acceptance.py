@@ -16,25 +16,24 @@ import pytest
 
 from conftest import ACCEPTANCE_REPORTS
 
-from hapsim import (
-    AngularCoordinates,
-    ArrayConfig,
+from hapsim.allocation import QoSSpec, fill_remaining_power, min_power_coefficients
+from hapsim.channel import (
     ChannelStats,
     LargeScaleFading,
-    QoSSpec,
     ScatteringSpread,
-    ScenarioConfig,
     correlation_matrix,
-    dof_azimuth,
-    dof_elevation,
-    fill_remaining_power,
     los_channel,
-    min_power_coefficients,
     sample_channel,
     steering,
+)
+from hapsim.config import ScenarioConfig
+from hapsim.dofgrid import (
+    dof_azimuth,
+    dof_elevation,
     steering_correlation,
     subsections_per_section,
 )
+from hapsim.geometry import AngularCoordinates, ArrayConfig
 from hapsim import cli
 from hapsim.harness import dbm_to_watts, evaluate_trial, place_and_cluster, prepare_trial
 

@@ -118,6 +118,17 @@ class TestRunTrial:
             sum(u.rate_bps for u in rec.users), rel=1e-12
         )
 
+    @pytest.mark.parametrize("dbm", [46.0, 50.0])
+    def test_budget_is_one_pool_over_all_sectors(self, dbm):
+        # a per-sector budget would let the six sectors spend 6 * p_total
+        cfg = fast_cfg()
+        state = prepare_trial(cfg, cfg.seed, 0)
+        p = dbm_to_watts(dbm)
+        rec = evaluate_trial(state, p, p)
+        assert rec.qos_feasible
+        assert {u.cell.sector for u in rec.users} == set(range(1, cfg.n_sectors + 1))
+        assert p * sum(u.omega for u in rec.users) == pytest.approx(p, rel=1e-9)
+
 
 class TestRunCsv:
     HEADER = (

@@ -8,10 +8,8 @@ from hapsim.channel import composite_steering
 from hapsim.rate import (
     ServedUser,
     build_cluster_precoders,
-    build_precoder,
+    build_interference_map,
     evaluate_objective,
-    rate,
-    sinr,
 )
 
 
@@ -22,101 +20,127 @@ def mu_only(mu_phi, mu_h):
 CFG = ArrayConfig(m_x=4, m_y=4)
 
 
-class TestBuildPrecoder:
+def served(uid, cell, ang, channel, ts=1.0):
+    return ServedUser(user_id=uid, cell=cell, angles=ang, channel=channel, time_share=ts)
+
+
+def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
+    """evaluate_objective with the users' own interference map; allocator
+    gains default to the realized own-beam gains |h^H p|^2."""
+    im = build_interference_map(users, plan, build_cluster_precoders(users, CFG))
+    if gains is None:
+        gains = dict(zip(im.user_ids, im.own_gain.tolist()))
+    return evaluate_objective(users, plan, power, qos, rho, bw_rb, gains, im)
+
+
+def one_cluster(angles, channels, r=1, ts=1.0):
+    """User k in section k + 1 of one cluster, with the given channel."""
+    cells = [GridCell(sector=1, section=k + 1, subsection=3) for k in range(len(angles))]
+    users = [served(k, c, a, h, ts) for k, (c, a, h) in enumerate(zip(cells, angles, channels))]
+    plan = assign_resource_blocks(cluster_users([(k, c) for k, c in enumerate(cells)]), 50, r)
+    return users, plan
+
+
+def steer(ang, cfg=CFG):
+    return composite_steering(ang.mu_phi, ang.mu_h, cfg)
+
+
+def random_channels(seed, n):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(16) + 1j * rng.standard_normal(16) for _ in range(n)]
+
+
+class TestClusterColumns:
     def test_single_member(self):
-        p = build_precoder([(0, mu_only(0.3, 0.5))], CFG)
-        assert p.columns.shape == (16, 1)
-        assert np.linalg.norm(p.columns[:, 0]) == pytest.approx(1.0)
+        ang = mu_only(0.3, 0.5)
+        users, _ = one_cluster([ang], [steer(ang)])
+        cols = build_cluster_precoders(users, CFG)[(1, 3)]
+        assert cols.shape == (16, 1)
+        assert np.linalg.norm(cols[:, 0]) == pytest.approx(1.0)
 
     def test_orthogonal_offsets_identity_gram(self):
-        members = [
-            (0, mu_only(0.1, 0.2)),
-            (1, mu_only(0.1 + 0.5, 0.2)),
-            (2, mu_only(0.1, 0.2 + 0.5)),
-        ]
-        p = build_precoder(members, CFG)
-        gram = p.columns.conj().T @ p.columns
+        angles = [mu_only(0.1, 0.2), mu_only(0.1 + 0.5, 0.2), mu_only(0.1, 0.2 + 0.5)]
+        users, _ = one_cluster(angles, [steer(a) for a in angles])
+        # given out of id order; columns still follow user id
+        cols = build_cluster_precoders(users[::-1], CFG)[(1, 3)]
+        gram = cols.conj().T @ cols
         assert np.allclose(gram, np.eye(3), atol=1e-10)
+        for k, a in enumerate(angles):
+            assert np.array_equal(cols[:, k], steer(a))
 
     def test_dirichlet_off_diagonal(self):
         cfg = ArrayConfig(m_x=4, m_y=1)
-        p = build_precoder([(0, mu_only(0.25, 0.7)), (1, mu_only(0.0, 0.7))], cfg)
-        gram = p.columns.conj().T @ p.columns
+        angles = [mu_only(0.25, 0.7), mu_only(0.0, 0.7)]
+        users, _ = one_cluster(angles, [np.zeros(4)] * 2)
+        cols = build_cluster_precoders(users, cfg)[(1, 3)]
+        gram = cols.conj().T @ cols
         assert abs(gram[0, 1]) == pytest.approx(0.6532814824381883, abs=1e-12)
 
 
 class TestSinr:
     def test_lone_user(self):
         ang = mu_only(0.3, 0.4)
-        p = build_precoder([(0, ang)], CFG)
-        h = 2.0 * composite_steering(ang.mu_phi, ang.mu_h, CFG)
-        rep = sinr(0, {0: h}, p, {0: 0.25}, rho=8.0)
-        assert rep.interference == 0.0
-        assert rep.sinr == pytest.approx(8.0 * 0.25 * 4.0)
+        users, plan = one_cluster([ang], [2.0 * steer(ang)])  # |h^H p|^2 = 4
+        power = PowerAllocation(omega={0: 0.25}, p_max=1.0, p_total=1.0)
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=8.0)
+        assert report.sinr[0] == pytest.approx(8.0 * 0.25 * 4.0, rel=1e-12)
+        assert report.rates[0] == pytest.approx(180e3 * np.log2(9.0), rel=1e-12)
 
     def test_orthogonal_cluster_no_interference(self):
-        a1, a2 = mu_only(0.1, 0.2), mu_only(0.6, 0.2)
-        p = build_precoder([(0, a1), (1, a2)], CFG)
-        channels = {
-            0: composite_steering(a1.mu_phi, a1.mu_h, CFG),
-            1: composite_steering(a2.mu_phi, a2.mu_h, CFG),
-        }
-        rep = sinr(0, channels, p, {0: 1.0, 1: 1.0}, rho=1.0)
-        assert rep.interference <= 1e-10 * rep.signal
+        angles = [mu_only(0.1, 0.2), mu_only(0.6, 0.2)]
+        users, plan = one_cluster(angles, [steer(a) for a in angles])
+        power = PowerAllocation(omega={0: 1.0, 1: 1.0}, p_max=1.0, p_total=2.0)
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
+        # interference-free: sinr = rho * omega * |h^H p|^2 = 1
+        assert report.sinr[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_matches_naive_resummation(self):
-        rng = np.random.default_rng(3)
-        members = [(i, mu_only(0.1 * i, 0.3 + 0.05 * i)) for i in range(3)]
-        p = build_precoder(members, CFG)
-        channels = {
-            i: rng.standard_normal(16) + 1j * rng.standard_normal(16) for i in range(3)
-        }
+        angles = [mu_only(0.1 * i, 0.3 + 0.05 * i) for i in range(3)]
+        channels = random_channels(3, 3)
+        users, plan = one_cluster(angles, channels)
         omega = {0: 0.2, 1: 0.5, 2: 0.1}
         rho = 3.0
-        rep = sinr(1, channels, p, omega, rho)
-        sig = rho * omega[1] * abs(np.vdot(channels[1], p.columns[:, 1])) ** 2
+        power = PowerAllocation(omega=omega, p_max=1.0, p_total=1.0)
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho)
+        sig = rho * omega[1] * abs(np.vdot(channels[1], steer(angles[1]))) ** 2
         intf = sum(
-            rho * omega[k] * abs(np.vdot(channels[1], p.columns[:, k])) ** 2
+            rho * omega[k] * abs(np.vdot(channels[1], steer(angles[k]))) ** 2
             for k in (0, 2)
         )
-        assert rep.signal == pytest.approx(sig, rel=1e-12)
-        assert rep.interference == pytest.approx(intf, rel=1e-12)
-        assert rep.sinr == pytest.approx(sig / (intf + 1.0), rel=1e-12)
+        assert report.sinr[1] == pytest.approx(sig / (intf + 1.0), rel=1e-12)
 
     def test_global_phase_invariance(self):
-        members = [(0, mu_only(0.15, 0.45)), (1, mu_only(0.35, 0.45))]
-        p = build_precoder(members, CFG)
-        rng = np.random.default_rng(0)
-        channels = {
-            i: rng.standard_normal(16) + 1j * rng.standard_normal(16) for i in range(2)
-        }
-        omega = {0: 0.4, 1: 0.6}
-        base = sinr(0, channels, p, omega, 2.0)
-        rotated = {0: channels[0] * np.exp(1j * 1.234), 1: channels[1]}
-        rot = sinr(0, rotated, p, omega, 2.0)
-        assert rot.sinr == pytest.approx(base.sinr, rel=1e-12)
+        angles = [mu_only(0.15, 0.45), mu_only(0.35, 0.45)]
+        channels = random_channels(0, 2)
+        power = PowerAllocation(omega={0: 0.4, 1: 0.6}, p_max=1.0, p_total=1.0)
+        qos = QoSSpec(r_min=0.0)
+        base, _ = objective(*one_cluster(angles, channels), power, qos, 2.0)
+        rotated = [channels[0] * np.exp(1j * 1.234), channels[1]]
+        rot, _ = objective(*one_cluster(angles, rotated), power, qos, 2.0)
+        for uid in (0, 1):
+            assert rot.sinr[uid] == pytest.approx(base.sinr[uid], rel=1e-12)
+            assert rot.rates[uid] == pytest.approx(base.rates[uid], rel=1e-12)
 
 
 class TestRate:
+    """rate = time_share * r * bw_rb * log2(1 + sinr) for a lone user."""
+
+    def lone_rate(self, omega, r=1, ts=1.0):
+        ang = mu_only(0.2, 0.3)
+        users, plan = one_cluster([ang], [steer(ang)], r=r, ts=ts)
+        power = PowerAllocation(omega={0: omega}, p_max=1.0, p_total=1.0)
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
+        return report.rates[0]
+
     def test_zero_sinr(self):
-        assert rate(0.0, 3, 180e3, 1.0) == 0.0
+        assert self.lone_rate(0.0, r=3) == 0.0
 
     def test_unit_sinr(self):
-        assert rate(1.0, 1, 180e3, 1.0) == pytest.approx(180e3)
+        assert self.lone_rate(1.0) == pytest.approx(180e3)
 
     def test_time_share_linear(self):
-        full = rate(4.7, 2, 180e3, 1.0)
-        assert rate(4.7, 2, 180e3, 0.5) == pytest.approx(full / 2)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            rate(-0.1, 1, 180e3, 1.0)
-        with pytest.raises(ValueError):
-            rate(1.0, 1, 180e3, 1.5)
-
-
-def served(uid, cell, ang, channel, ts=1.0):
-    return ServedUser(user_id=uid, cell=cell, angles=ang, channel=channel, time_share=ts)
+        full = self.lone_rate(4.7, r=2)
+        assert self.lone_rate(4.7, r=2, ts=0.5) == pytest.approx(full / 2)
 
 
 def two_user_setup(mu2=0.6, beta=1.0):
@@ -137,21 +161,18 @@ class TestEvaluateObjective:
         users, plan = two_user_setup()
         solo = [users[0]]
         power = PowerAllocation(omega={0: 0.5}, p_max=2.0, p_total=2.0)
-        report, cons = evaluate_objective(
-            solo, plan, power, QoSSpec(r_min=0.0), rho=4.0, bw_rb=180e3, cfg=CFG
-        )
+        report, cons = objective(solo, plan, power, QoSSpec(r_min=0.0), rho=4.0)
         assert report.sum_rate == pytest.approx(report.rates[0])
         # closed form: 2 blocks of bw_rb at log2(1 + rho omega |h^H p|^2)
         expect = 2 * 180e3 * np.log2(1 + 4.0 * 0.5 * 1.0)
         assert report.rates[0] == pytest.approx(expect, rel=1e-12)
-        assert cons.satisfied
+        assert cons.power_margin_w == pytest.approx(2.0 - 2.0 * 0.5)
+        assert cons.qos_margin_model == pytest.approx(np.log2(3.0))
 
     def test_orthogonal_pair_equals_interference_free(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
         power = PowerAllocation(omega={0: 0.3, 1: 0.7}, p_max=1.0, p_total=1.0)
-        report, _ = evaluate_objective(
-            users, plan, power, QoSSpec(r_min=0.0), rho=5.0, bw_rb=180e3, cfg=CFG
-        )
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=5.0)
         for uid in (0, 1):
             free = 2 * 180e3 * np.log2(1 + 5.0 * power.omega[uid])
             assert report.rates[uid] == pytest.approx(free, rel=1e-9)
@@ -159,9 +180,7 @@ class TestEvaluateObjective:
     def test_non_orthogonal_below_interference_free(self):
         users, plan = two_user_setup(mu2=0.1 + 0.37)
         power = PowerAllocation(omega={0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
-        report, _ = evaluate_objective(
-            users, plan, power, QoSSpec(r_min=0.0), rho=50.0, bw_rb=180e3, cfg=CFG
-        )
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=50.0)
         for uid in (0, 1):
             free = 2 * 180e3 * np.log2(1 + 50.0 * 0.5)
             assert report.rates[uid] < free
@@ -171,22 +190,22 @@ class TestEvaluateObjective:
         lo = PowerAllocation(omega={0: 0.2, 1: 0.2}, p_max=1.0, p_total=1.0)
         hi = PowerAllocation(omega={0: 0.4, 1: 0.4}, p_max=1.0, p_total=1.0)
         qos = QoSSpec(r_min=0.0)
-        r_lo, _ = evaluate_objective(users, plan, lo, qos, 5.0, 180e3, CFG)
-        r_hi, _ = evaluate_objective(users, plan, hi, qos, 5.0, 180e3, CFG)
+        r_lo, _ = objective(users, plan, lo, qos, 5.0)
+        r_hi, _ = objective(users, plan, hi, qos, 5.0)
         assert all(r_hi.rates[u] >= r_lo.rates[u] - 1e-9 for u in (0, 1))
 
     def test_constraint_margins_hand_checked(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
         power = PowerAllocation(omega={0: 0.25, 1: 0.25}, p_max=2.0, p_total=4.0)
         gains = {0: 1.0, 1: 1.0}
-        report, cons = evaluate_objective(
-            users, plan, power, QoSSpec(r_min=1.0), rho=8.0, bw_rb=180e3, cfg=CFG,
-            allocator_gains=gains,
+        report, cons = objective(
+            users, plan, power, QoSSpec(r_min=1.0), rho=8.0, gains=gains
         )
         assert cons.power_margin_w == pytest.approx(4.0 - 2.0 * 0.5)
         # model SE = log2(1 + 8 * 0.25) = log2(3)
         assert cons.qos_margin_model == pytest.approx(np.log2(3.0) - 1.0)
-        assert cons.satisfied
+        # orthogonal pair: realized SE equals the model SE
+        assert cons.qos_margin_realized == pytest.approx(np.log2(3.0) - 1.0)
 
     def test_time_shared_cell_splits_rate(self):
         a = mu_only(0.2, 0.4)
@@ -195,22 +214,28 @@ class TestEvaluateObjective:
         users = [served(0, c, a, h, ts=0.5), served(1, c, a, h, ts=0.5)]
         plan = assign_resource_blocks(cluster_users([(0, c), (1, c)]), 50, 1)
         power = PowerAllocation(omega={0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
-        report, _ = evaluate_objective(
-            users, plan, power, QoSSpec(r_min=0.0), rho=10.0, bw_rb=180e3, cfg=CFG
-        )
+        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=10.0)
         # same channel, same omega, half airtime each
         assert report.rates[0] == pytest.approx(report.rates[1], rel=1e-12)
         full = 180e3 * np.log2(1 + 10.0 * 0.5)
         assert report.rates[0] + report.rates[1] == pytest.approx(full, rel=1e-9)
 
     def test_empty_input(self):
-        users, plan = two_user_setup()
+        _, plan = two_user_setup()
         power = PowerAllocation(omega={}, p_max=1.0, p_total=1.0)
-        report, cons = evaluate_objective(
-            [], plan, power, QoSSpec(r_min=1.0), rho=1.0, bw_rb=180e3, cfg=CFG
-        )
+        report, cons = objective([], plan, power, QoSSpec(r_min=1.0), rho=1.0)
         assert report.sum_rate == 0.0
-        assert cons.satisfied
+        assert cons.power_margin_w == 1.0
+        assert cons.qos_margin_model == float("inf")
+
+    def test_map_of_another_trial_raises(self):
+        users, plan = two_user_setup()
+        im = build_interference_map(users, plan, build_cluster_precoders(users, CFG))
+        power = PowerAllocation(omega={0: 0.5}, p_max=1.0, p_total=1.0)
+        with pytest.raises(ValueError, match="interference map"):
+            evaluate_objective(
+                users[:1], plan, power, QoSSpec(r_min=0.0), 1.0, 180e3, {0: 1.0}, im
+            )
 
 
 def reference_objective(users, plan, omega, rho, bw_rb, cfg):
@@ -233,7 +258,7 @@ def reference_objective(users, plan, omega, rho, bw_rb, cfg):
     for key in sorted(groups):
         members = sorted(groups[key], key=lambda u: u.user_id)
         prec = precoders[key]
-        proj = np.abs(np.stack([u.channel for u in members]).conj() @ prec.columns) ** 2
+        proj = np.abs(np.stack([u.channel for u in members]).conj() @ prec) ** 2
         omega_eff = np.array([omega[u.user_id] * u.time_share for u in members])
         blocks = plan.cluster_blocks[key[1]]
         for a, u in enumerate(members):
@@ -248,7 +273,7 @@ def reference_objective(users, plan, omega, rho, bw_rb, cfg):
                         continue
                     others = sorted(groups[other], key=lambda v: v.user_id)
                     w = np.array([omega[v.user_id] * v.time_share for v in others])
-                    gain = np.abs(u.channel.conj() @ precoders[other].columns) ** 2
+                    gain = np.abs(u.channel.conj() @ precoders[other]) ** 2
                     extra += float(np.sum(w * gain))
                 sinr_b = rho * own / (rho * (base_i + extra) + 1.0)
                 se_sum += float(np.log2(1.0 + sinr_b))
@@ -287,8 +312,7 @@ class TestInterferenceMapMatchesLoop:
         rho = cfg.rho()
         report, _ = evaluate_objective(
             state.users, state.plan, power, QoSSpec(), rho, cfg.bw_rb,
-            cfg.array_config(), allocator_gains=state.gains,
-            interference=state.interference,
+            state.gains, state.interference,
         )
         rates, ses, total = reference_objective(
             state.users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
