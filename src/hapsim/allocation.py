@@ -11,10 +11,11 @@ handed out greedily in fixed spectral-efficiency steps, cheapest user first.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .dofgrid import GridCell
 
@@ -111,6 +112,16 @@ def assign_resource_blocks(clusters: Sequence[Cluster], nbr: int, r: int) -> Res
     return ResourcePlan(rb_per_user=r, total_rb=nbr, cluster_blocks=blocks, reuse=reuse)
 
 
+def _floor_coefficients(
+    gains: Mapping[int, float], rho: float, qos: QoSSpec
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Sorted user ids, their gains, and Omega_min = (2^r_min - 1) / (rho * g)."""
+    uids = sorted(gains)
+    g = np.fromiter(map(gains.__getitem__, uids), float, len(uids))
+    with np.errstate(divide="ignore"):
+        return uids, g, (2.0 ** qos.r_min - 1.0) / (rho * g)
+
+
 def min_power_coefficients(
     gains: Mapping[int, float],
     rho: float,
@@ -126,13 +137,11 @@ def min_power_coefficients(
         raise ValueError("rho must be > 0")
     if p_max <= 0 or p_total <= 0:
         raise ValueError("power levels must be > 0")
-    need = 2.0 ** qos.r_min - 1.0
-    omega = {}
-    for uid in sorted(gains):
-        g = gains[uid]
-        if g <= 0:
-            raise ValueError(f"user {uid} has non-positive gain {g}")
-        omega[uid] = need / (rho * g)
+    uids, g, floors = _floor_coefficients(gains, rho, qos)
+    bad = np.flatnonzero(g <= 0)
+    if len(bad):
+        raise ValueError(f"user {uids[bad[0]]} has non-positive gain {g[bad[0]]}")
+    omega = dict(zip(uids, floors.tolist()))
     margin = p_max * sum(omega.values()) - p_total
     if margin > 0:
         raise PowerBudgetError(margin)
@@ -147,16 +156,56 @@ def scaled_min_power(
     Scales every Omega_min by the same factor so the budget is met exactly;
     all users then see equal SINR below the floor. Flagged, never raised.
     """
-    need = 2.0 ** qos.r_min - 1.0
-    omega = {uid: need / (rho * gains[uid]) for uid in sorted(gains)}
-    total = p_max * sum(omega.values())
+    uids, _g, floors = _floor_coefficients(gains, rho, qos)
+    total = p_max * sum(floors.tolist())
     scale = min(1.0, p_total / total) if total > 0 else 1.0
     return PowerAllocation(
-        omega={uid: w * scale for uid, w in omega.items()},
+        omega=dict(zip(uids, (floors * scale).tolist())),
         p_max=p_max,
         p_total=p_total,
         qos_feasible=scale >= 1.0,
     )
+
+
+def _water_level(key0: np.ndarray, p_rem: float) -> float:
+    """Level lam with sum over users of max(lam - key0, 0) equal to p_rem.
+
+    A user's steps with keys up to lam cost key0 * (g^c - 1) > lam - key0
+    in total (c steps, growth g), so the steps below lam cost more than
+    p_rem: the greedy fill stops before its keys pass lam.
+    """
+    s = np.sort(key0)
+    acc = np.add.accumulate(s)
+    cost = np.arange(1, len(s) + 1) * s - acc  # at level s[j], j + 1 users active
+    active = int(np.searchsorted(cost, p_rem, side="right"))
+    return (p_rem + float(acc[active - 1])) / active
+
+
+# keys per block of _key_bands: bounds the fill's temporaries (about
+# 20 bytes per entry) apart from its flat arrays of candidate keys
+_BAND_ENTRIES = 1 << 13
+
+
+def _key_bands(key0: np.ndarray, counts: np.ndarray, growth: float):
+    """Yield (rows, keys, valid) for blocks of users whose step counts
+    share a bit length, so a block pads its rows to under twice their
+    length.
+
+    keys[i, k] is user rows[i]'s key after k grants, by repeated
+    multiplication exactly as a per-user loop computes it; valid marks
+    k < counts[rows[i]].
+    """
+    bits = np.frexp(counts)[1]  # counts in [2^(bits-1), 2^bits)
+    for b in np.flatnonzero(np.bincount(bits)):
+        band = np.flatnonzero(bits == b)
+        width = int(counts[band].max())
+        per_block = max(1, _BAND_ENTRIES // width)
+        for lo in range(0, len(band), per_block):
+            rows = band[lo:lo + per_block]
+            keys = np.full((len(rows), width), growth)
+            keys[:, 0] = key0[rows]
+            np.multiply.accumulate(keys, axis=1, out=keys)
+            yield rows, keys, np.arange(width) < counts[rows][:, None]
 
 
 def fill_remaining_power(
@@ -170,33 +219,110 @@ def fill_remaining_power(
     """Greedy spend of the leftover budget in delta_r rate steps.
 
     Raising a user from rate R to R + delta_r costs
-        delta_p = (2^delta_r - 1) * p_max * 2^R / (rho * g),
-    so the heap is keyed by p_max * 2^R / (rho * g) (ties by user id) and a
-    grant multiplies the key by 2^delta_r. When the leftover no longer covers
-    the cheapest full step, the cheapest user absorbs it as a partial grant.
-    A NaN or infinite leftover never falls below a step, so it raises
-    ValueError instead of granting forever.
+        delta_p = step * key,  key = p_max * 2^R / (rho * g),
+    with step = 2^delta_r - 1, and a grant multiplies the user's key by
+    2^delta_r. The greedy rule grants the cheapest step (ties by user id)
+    until the leftover no longer covers it; that user then absorbs the
+    leftover as a partial grant. A user's keys only grow, so the grants
+    come in ascending (key, user id) order over all (user, step) pairs,
+    and the fill replays that order in closed form, bit for bit equal to
+    a heap loop (tests/test_allocation.py keeps that loop as the oracle):
+
+    * each user's keys come from multiply.accumulate over [key0, g, g, ...],
+      which is sequential and so equals repeated multiplication; only
+      steps below a water level on the leftover (plus a guard step) are
+      built, so memory follows the number of grants;
+    * the leftover before each candidate is a sequential add.accumulate of
+      [p_rem, -delta_0, -delta_1, ...] over the sorted keys (tied keys cost
+      the same, so their order does not move it), and the stop is the
+      first candidate whose step exceeds it, found by bisection since the
+      steps grow and the leftover shrinks;
+    * each user's omega adds its granted steps in order, again by a
+      sequential add.accumulate; tied keys at the stop are granted in
+      user-id order, and the next user in that order takes the partial
+      grant.
+
+    Should the stop fall beyond the built keys, the level doubles and the
+    replay runs again. A NaN or infinite leftover raises ValueError, as do
+    steps or keys that are not finite and positive, where a heap loop
+    would grant forever.
     """
-    omega = {uid: float(w) for uid, w in omega_min.items()}
-    p_rem = p_total - p_max * sum(omega.values())
+    start = [float(w) for w in omega_min.values()]
+    p_rem = p_total - p_max * sum(start)
     if not math.isfinite(p_rem):
         raise ValueError(f"power budget is not finite (leftover {p_rem!r})")
     if p_rem < -1e-9 * p_total:
         raise PowerBudgetError(-p_rem)
-    step = 2.0 ** qos.delta_r - 1.0
-    heap = [
-        (p_max * (2.0 ** qos.r_min) / (rho * gains[uid]), uid)
-        for uid in sorted(omega)
-    ]
-    heapq.heapify(heap)
-    while heap:
-        base, uid = heap[0]
-        delta_p = step * base
-        if delta_p > p_rem:
-            if p_rem > 0:
-                omega[uid] += p_rem / p_max  # final partial grant
+    n = len(start)
+    if n == 0 or p_rem <= 0.0:
+        return PowerAllocation(
+            omega=dict(zip(omega_min, start)), p_max=p_max, p_total=p_total
+        )
+    growth = 2.0 ** qos.delta_r
+    step = growth - 1.0
+    key0 = (p_max * 2.0 ** qos.r_min) / (
+        rho * np.fromiter(map(gains.__getitem__, omega_min), float, n)
+    )
+    if not step > 0.0 or not np.all((key0 > 0.0) & (key0 < math.inf)):
+        raise ValueError("greedy steps need finite positive costs")
+
+    level = _water_level(key0, p_rem) * growth
+    while True:
+        # steps up to the level, one guard step, and every user's first
+        with np.errstate(divide="ignore"):
+            counts = np.floor(np.log(level / key0) / math.log(growth)) + 2.0
+        counts = np.maximum(counts, 1.0).astype(np.int64)
+        keys = np.empty(int(counts.sum()))
+        covered = math.inf  # every key up to this one is in keys
+        filled = 0
+        for rows, band, valid in _key_bands(key0, counts, growth):
+            last = band[np.arange(len(rows)), counts[rows] - 1]
+            covered = min(covered, float(last.min()))
+            taken = band[valid]
+            keys[filled:filled + len(taken)] = taken
+            filled += len(taken)
+        keys.sort()
+        rem = np.empty(len(keys) + 1)  # leftover before each candidate
+        rem[0] = p_rem
+        np.multiply(keys, -step, out=rem[1:])
+        np.add.accumulate(rem, out=rem)
+        lo, hi = 0, len(keys)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if step * keys[mid] > rem[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < len(keys) and keys[lo] <= covered:
             break
-        heapq.heapreplace(heap, (base * (2.0 ** qos.delta_r), uid))
-        omega[uid] += delta_p / p_max
-        p_rem -= delta_p
-    return PowerAllocation(omega=omega, p_max=p_max, p_total=p_total)
+        level *= 2.0
+    stop_key = keys[lo]
+    left = float(rem[lo])
+    tied_granted = lo - int(np.searchsorted(keys, stop_key, side="left"))
+    del keys, rem
+
+    omega = np.array(start)
+    granted = np.empty(n)  # omega after the steps below the stop key
+    granted_tie = np.empty(n)  # ... and after a step at the stop key
+    tied = np.zeros(n, dtype=bool)
+    for rows, band, valid in _key_bands(key0, counts, growth):
+        below = ((band < stop_key) & valid).sum(axis=1)
+        tied[rows] = ((band == stop_key) & valid).any(axis=1)
+        acc = np.empty((len(rows), band.shape[1] + 1))
+        acc[:, 0] = omega[rows]
+        np.multiply(band, step, out=acc[:, 1:])
+        acc[:, 1:] /= p_max
+        np.add.accumulate(acc, axis=1, out=acc)
+        at = np.arange(len(rows))
+        granted[rows] = acc[at, below]
+        granted_tie[rows] = acc[at, np.minimum(below + 1, band.shape[1])]
+    tie_rows = np.flatnonzero(tied)
+    uid = np.fromiter(omega_min, dtype=np.int64, count=n)[tie_rows]
+    tie_rows = tie_rows[np.argsort(uid, kind="stable")]
+    first = tie_rows[:tied_granted]
+    granted[first] = granted_tie[first]
+    if left > 0:
+        granted[tie_rows[tied_granted]] += left / p_max  # final partial grant
+    return PowerAllocation(
+        omega=dict(zip(omega_min, granted.tolist())), p_max=p_max, p_total=p_total
+    )

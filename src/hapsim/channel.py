@@ -144,14 +144,16 @@ def _unit_phasors(phase: np.ndarray) -> np.ndarray:
 
 
 def correlation_matrices(
-    angles: list[AngularCoordinates],
+    azimuth: np.ndarray,
+    elevation: np.ndarray,
     spread: ScatteringSpread,
     beta_nlos: np.ndarray,
     cfg: ArrayConfig,
     quadrature_points: int = 32,
     rule: str = "gauss",
 ) -> np.ndarray:
-    """Batched one-ring covariance matrices, shape (len(angles), M, M).
+    """Batched one-ring covariance matrices, shape (len(azimuth), M, M),
+    one per user direction (azimuth[u], elevation[u]).
 
     Entry (a, b) of matrix u is
 
@@ -174,9 +176,11 @@ def correlation_matrices(
     """
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be >= 1")
+    azimuth = np.asarray(azimuth, dtype=float)
+    elevation = np.asarray(elevation, dtype=float)
     beta_nlos = np.asarray(beta_nlos, dtype=float)
-    if beta_nlos.shape != (len(angles),):
-        raise ValueError("need one beta_nlos per angle set")
+    if elevation.shape != azimuth.shape or beta_nlos.shape != azimuth.shape:
+        raise ValueError("need one elevation and one beta_nlos per azimuth")
     if np.any(beta_nlos < 0):
         raise ValueError("beta_nlos must be >= 0")
 
@@ -185,14 +189,12 @@ def correlation_matrices(
     i_idx, j_idx = element_indices(cfg)
     # flat position of lag (i_a - i_b, j_a - j_b) in a (2*m_x - 1, n_dj) table
     lag = (i_idx[:, None] - i_idx + m_x - 1) * n_dj + (j_idx[:, None] - j_idx + m_y - 1)
-    azimuth = np.array([a.azimuth for a in angles], dtype=float)
-    elevation = np.array([a.elevation for a in angles], dtype=float)
-    mats = np.empty((len(angles), cfg.m_total, cfg.m_total), dtype=complex)
+    mats = np.empty((len(azimuth), cfg.m_total, cfg.m_total), dtype=complex)
     n_phi = 1 if spread.delta_phi == 0.0 else quadrature_points
     n_th = 1 if spread.delta_theta == 0.0 else quadrature_points
     per_user = max(max(n_phi, m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
     step = max(1, _CHUNK_ENTRIES // per_user)
-    for lo in range(0, len(angles), step):
+    for lo in range(0, len(azimuth), step):
         hi = lo + step
         phis, w_phi = _axis_nodes(azimuth[lo:hi], spread.delta_phi, quadrature_points, rule)
         thes, w_th = _axis_nodes(elevation[lo:hi], spread.delta_theta, quadrature_points, rule)
@@ -222,20 +224,6 @@ def correlation_matrices(
         table *= beta_nlos[lo:hi, None, None]
         np.take(table.reshape(len(table), -1), lag, axis=1, out=mats[lo:hi], mode="clip")
     return mats
-
-
-def correlation_matrix(
-    angles: AngularCoordinates,
-    spread: ScatteringSpread,
-    beta_nlos: float,
-    cfg: ArrayConfig,
-    quadrature_points: int = 32,
-    rule: str = "gauss",
-) -> np.ndarray:
-    """One-ring covariance for a single user; see correlation_matrices."""
-    return correlation_matrices(
-        [angles], spread, np.array([float(beta_nlos)]), cfg, quadrature_points, rule
-    )[0]
 
 
 def path_loss_db(distance_3d, carrier_freq: float):

@@ -10,7 +10,6 @@ share resource blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +19,6 @@ from .geometry import AngularCoordinates, ArrayConfig
 # floor() guard against IEEE sin() landing one ulp below an exact value,
 # e.g. sin(pi/6) = 0.49999999999999994
 _FLOOR_EPS = 1e-9
-
-
-class OutOfCoverageError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -160,64 +155,61 @@ def build_section_grid(
     )
 
 
-def _axis_index(
-    x: float, lo: float, hi: float, margin: float, n: int, width: float, s: int
-) -> tuple[int, int]:
-    """(section, subsection) indices along one axis, both 0-based.
+def _axis_indices(x, lo: float, hi: float, margin: float, n: int, width: float, s: int):
+    """(section, subsection, inside) along one axis; indices 0-based.
 
     Lower-inclusive cell boundaries; margin values clamp into the edge cells
     so the map is total on [lo, hi]. Outside the interval (beyond a relative
-    tolerance) is out of coverage.
+    tolerance) is out of coverage: inside is False there and the clamped
+    indices mean nothing.
     """
+    x = np.asarray(x, dtype=float)
     tol = 1e-9 * (hi - lo)
-    if x < lo - tol or x > hi + tol:
-        raise OutOfCoverageError(f"mu coordinate {x} outside [{lo}, {hi}]")
+    inside = (x >= lo - tol) & (x <= hi + tol)
     grid_lo = lo + margin
-    sec = math.floor((x - grid_lo) / width)
-    sec = min(max(sec, 0), n - 1)
-    sub_width = width / s
-    sub = math.floor((x - grid_lo - sec * width) / sub_width)
-    sub = min(max(sub, 0), s - 1)
-    return sec, sub
+    sec = np.clip(np.floor((x - grid_lo) / width), 0, n - 1)
+    sub = np.clip(np.floor((x - grid_lo - sec * width) / (width / s)), 0, s - 1)
+    return sec.astype(np.int64), sub.astype(np.int64), inside
 
 
 def locate(
     angles: AngularCoordinates,
     section_grid: SectionGrid,
     subsection_grid: SubsectionGrid,
-    sector: int,
-) -> GridCell:
-    """Cell of one user; section and subsection flattened row-major as
-    (azimuth index, elevation index), 1-based."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells of users at the mu coordinates of angles (arrays).
+
+    Returns 1-based section and subsection indices, each flattened
+    row-major as (azimuth index, elevation index), and the mask of users
+    inside the sector's grid; the indices of the others mean nothing.
+    """
     g = section_grid
     s = subsection_grid.per_axis
-    a_sec, a_sub = _axis_index(
+    a_sec, a_sub, a_in = _axis_indices(
         angles.mu_phi, g.mu_phi_range[0], g.mu_phi_range[1], g.margin_phi,
         g.n_phi, g.section_width_phi, s,
     )
-    e_sec, e_sub = _axis_index(
+    e_sec, e_sub, e_in = _axis_indices(
         angles.mu_h, g.mu_h_range[0], g.mu_h_range[1], g.margin_h,
         g.n_theta, g.section_width_h, s,
     )
-    return GridCell(
-        sector=sector,
-        section=a_sec * g.n_theta + e_sec + 1,
-        subsection=a_sub * s + e_sub + 1,
-    )
+    return a_sec * g.n_theta + e_sec + 1, a_sub * s + e_sub + 1, a_in & e_in
 
 
 def cell_center(
-    section_grid: SectionGrid, subsection_grid: SubsectionGrid, section: int, subsection: int
-) -> tuple[float, float]:
-    """(mu_phi, mu_h) center of a 1-based (section, subsection) cell."""
+    section_grid: SectionGrid, subsection_grid: SubsectionGrid, section, subsection
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_phi, mu_h) centers of 1-based (section, subsection) cells (arrays)."""
     g = section_grid
     s = subsection_grid.per_axis
-    if not 1 <= section <= g.n_sections:
-        raise ValueError(f"section {section} outside 1..{g.n_sections}")
-    if not 1 <= subsection <= subsection_grid.l_count:
-        raise ValueError(f"subsection {subsection} outside 1..{subsection_grid.l_count}")
-    a_sec, e_sec = divmod(section - 1, g.n_theta)
-    a_sub, e_sub = divmod(subsection - 1, s)
+    section = np.asarray(section)
+    subsection = np.asarray(subsection)
+    if np.any((section < 1) | (section > g.n_sections)):
+        raise ValueError(f"section outside 1..{g.n_sections}")
+    if np.any((subsection < 1) | (subsection > subsection_grid.l_count)):
+        raise ValueError(f"subsection outside 1..{subsection_grid.l_count}")
+    a_sec, e_sec = np.divmod(section - 1, g.n_theta)
+    a_sub, e_sub = np.divmod(subsection - 1, s)
     lo_phi, lo_h = g.origin
     return (
         lo_phi + a_sec * g.section_width_phi + (a_sub + 0.5) * (g.section_width_phi / s),
@@ -242,13 +234,3 @@ def steering_correlation(d_mu_phi, d_mu_h, cfg: ArrayConfig) -> np.ndarray:
     ) / cfg.m_y
     return az * el
 
-
-def orthogonality_defect(
-    angles_i: AngularCoordinates, angles_k: AngularCoordinates, cfg: ArrayConfig
-) -> float:
-    """|v_i^H v_k| of two users' composite steering vectors."""
-    return float(
-        steering_correlation(
-            angles_i.mu_phi - angles_k.mu_phi, angles_i.mu_h - angles_k.mu_h, cfg
-        )
-    )

@@ -63,24 +63,25 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class UserPosition:
-    """Ground-plane position, platform directly above the disk center."""
+    """Ground-plane positions (arrays), platform directly above the disk center."""
 
-    ground_x: float
-    ground_y: float
+    ground_x: np.ndarray
+    ground_y: np.ndarray
     haps_altitude: float
 
     @property
-    def ground_distance(self) -> float:
-        return float(np.hypot(self.ground_x, self.ground_y))
+    def ground_distance(self) -> np.ndarray:
+        return np.hypot(self.ground_x, self.ground_y)
 
     @property
-    def distance_3d(self) -> float:
-        return float(np.hypot(self.ground_distance, self.haps_altitude))
+    def distance_3d(self) -> np.ndarray:
+        return np.hypot(self.ground_distance, self.haps_altitude)
 
 
 @dataclass(frozen=True)
 class AngularCoordinates:
-    """Boresight-relative direction of one user plus its mu coordinates."""
+    """Boresight-relative direction plus mu coordinates: of one user, or
+    equal-shape arrays for many."""
 
     azimuth: float    # phi, relative to serving sector boresight, radians
     elevation: float  # theta, from the platform's horizontal plane, radians
@@ -94,67 +95,35 @@ def element_indices(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     return m % cfg.m_x, m // cfg.m_x
 
 
-def element_position(m: int, cfg: ArrayConfig) -> np.ndarray:
-    """Coordinates of element m (1-based) in meters: [0, i*d_h*lam, j*d_v*lam]."""
-    if not 1 <= m <= cfg.m_total:
-        raise ValueError(f"element index {m} outside 1..{cfg.m_total}")
-    i = (m - 1) % cfg.m_x
-    j = (m - 1) // cfg.m_x
-    lam = cfg.wavelength
-    return np.array([0.0, i * cfg.d_h * lam, j * cfg.d_v * lam])
-
-
-def wave_vector(azimuth: float, elevation: float, wavelength: float) -> np.ndarray:
-    """Propagation vector (2*pi/lam) * [cos(th)cos(ph), cos(th)sin(ph), sin(th)]."""
-    k = 2.0 * np.pi / wavelength
-    ct = np.cos(elevation)
-    return k * np.array([ct * np.cos(azimuth), ct * np.sin(azimuth), np.sin(elevation)])
-
-
-def array_wave_vector(azimuth: float, elevation: float, wavelength: float) -> np.ndarray:
-    """Wave vector producing the array's beam-space phases for a ground direction.
-
-    The per-element phase convention is exp(-j*pi*(i*mu_phi + j*mu_h)) at
-    half-wavelength spacing. Feeding the raw ground-view angles into
-    wave_vector does not reproduce that; shifting both angles by a quarter
-    turn does, uniquely:
-
-        y component -> -(2*pi/lam) * sin(theta)cos(phi) = -(2*pi/lam) * mu_phi
-        z component -> -(2*pi/lam) * cos(theta)         = -(2*pi/lam) * mu_h
-
-    (elements have x = 0, so the x component never enters a phase).
-    """
-    return wave_vector(azimuth - np.pi / 2.0, elevation - np.pi / 2.0, wavelength)
-
-
-def user_angles(user: UserPosition, boresight_azimuth: float) -> AngularCoordinates:
-    """Boresight-relative angles and mu coordinates of one user."""
-    r = user.ground_distance
-    h = user.haps_altitude
-    d = float(np.hypot(r, h))
-    if d == 0.0:
+def user_angles(users: UserPosition, boresight_azimuth) -> AngularCoordinates:
+    """Boresight-relative angles and mu coordinates of users (arrays)."""
+    r = users.ground_distance
+    h = users.haps_altitude
+    d = np.hypot(r, h)
+    if np.any(d == 0.0):
         raise ValueError("user coincides with the platform")
-    elevation = float(np.arctan2(h, r))  # r=0 (nadir) -> pi/2
-    global_az = float(np.arctan2(user.ground_y, user.ground_x)) % (2.0 * np.pi)
+    elevation = np.arctan2(h, r)  # r=0 (nadir) -> pi/2
+    global_az = np.arctan2(users.ground_y, users.ground_x) % (2.0 * np.pi)
     phi = (global_az - boresight_azimuth + np.pi) % (2.0 * np.pi) - np.pi
     # sin(theta) = h/d and cos(theta) = r/d, exact for theta = arctan(h/r)
-    mu_phi = (h / d) * float(np.cos(phi))
+    mu_phi = (h / d) * np.cos(phi)
     mu_h = r / d
     return AngularCoordinates(azimuth=phi, elevation=elevation, mu_phi=mu_phi, mu_h=mu_h)
 
 
-def sector_of(global_azimuth: float, n_sectors: int) -> int:
-    """1-based index of the sector wedge containing a global azimuth."""
+def sector_of(global_azimuth, n_sectors: int) -> np.ndarray:
+    """1-based indices of the sector wedges containing global azimuths."""
     width = 2.0 * np.pi / n_sectors
-    az = global_azimuth % (2.0 * np.pi)
-    n = int(az // width) + 1
-    return min(n, n_sectors)  # az within one ulp of 2*pi can overshoot
+    az = np.asarray(global_azimuth, dtype=float) % (2.0 * np.pi)
+    # az within one ulp of 2*pi can overshoot
+    return np.minimum((az // width).astype(np.int64) + 1, n_sectors)
 
 
-def sector_boresight(sector: int, n_sectors: int) -> float:
-    """Boresight azimuth of a 1-based sector index (wedge center)."""
-    if not 1 <= sector <= n_sectors:
-        raise ValueError(f"sector {sector} outside 1..{n_sectors}")
+def sector_boresight(sector, n_sectors: int) -> np.ndarray:
+    """Boresight azimuths of 1-based sector indices (wedge centers)."""
+    sector = np.asarray(sector)
+    if np.any((sector < 1) | (sector > n_sectors)):
+        raise ValueError(f"sector outside 1..{n_sectors}")
     return (sector - 0.5) * 2.0 * np.pi / n_sectors
 
 
@@ -163,7 +132,7 @@ def drop_users(
     coverage_radius: float,
     haps_altitude: float,
     rng: np.random.Generator,
-) -> list[UserPosition]:
+) -> UserPosition:
     """i.i.d. uniform user positions over the coverage disk."""
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -171,11 +140,8 @@ def drop_users(
         raise ValueError("coverage_radius must be >= 0")
     radii = coverage_radius * np.sqrt(rng.random(count))
     azimuths = 2.0 * np.pi * rng.random(count)
-    return [
-        UserPosition(
-            ground_x=float(r * np.cos(a)),
-            ground_y=float(r * np.sin(a)),
-            haps_altitude=haps_altitude,
-        )
-        for r, a in zip(radii, azimuths)
-    ]
+    return UserPosition(
+        ground_x=radii * np.cos(azimuths),
+        ground_y=radii * np.sin(azimuths),
+        haps_altitude=haps_altitude,
+    )

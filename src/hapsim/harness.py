@@ -34,13 +34,7 @@ from .channel import (
     sample_channel,
 )
 from .config import ScenarioConfig
-from .dofgrid import (
-    GridCell,
-    OutOfCoverageError,
-    cell_center,
-    locate,
-    steering_correlation,
-)
+from .dofgrid import GridCell, cell_center, locate, steering_correlation
 from .geometry import (
     AngularCoordinates,
     drop_users,
@@ -76,11 +70,17 @@ class TrialState:
 
     cfg: ScenarioConfig
     trial: int
-    users: tuple[ServedUser, ...]
+    users: tuple[ServedUser, ...]  # in user-id order
     plan: ResourcePlan
     gains: dict[int, float]
     unserved: int
     interference: InterferenceMap
+    # the users' row heads in user-id order, and their positions in the
+    # interference map's evaluation order: rows need no per-user lookups
+    user_ids: tuple[int, ...]
+    cells: tuple[GridCell, ...]
+    time_shares: tuple[float, ...]
+    uid_order: np.ndarray
 
 
 class UserRow(NamedTuple):
@@ -108,78 +108,103 @@ class TrialRecord:
     users: tuple[UserRow, ...]
 
 
+@dataclass(frozen=True)
+class Placement:
+    """Served users of one trial, arrays in user-id order."""
+
+    user_id: np.ndarray
+    distance: np.ndarray  # slant range to the platform, m
+    angles: AngularCoordinates
+    sector: np.ndarray
+    section: np.ndarray
+    subsection: np.ndarray
+
+
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
 
-UserDraw = tuple[int, float, AngularCoordinates, GridCell]
+def _acos(x: np.ndarray) -> np.ndarray:
+    """arccos entry by entry through the C library, as math.acos does;
+    numpy's vectorized arccos can differ in the last bit."""
+    return np.array([math.acos(v) for v in x.tolist()])
 
 
-def _cell_users(
-    cfg: ScenarioConfig, rng: np.random.Generator
-) -> list[UserDraw]:
+def _cell_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Placement:
     """One user per grid cell, uniform within the cell in beam coordinates.
 
     This is the occupancy regime the figure sweeps assume. Users live in
     (mu_phi, mu_h) space: slant distance follows from mu_h; the azimuth
     handed to the scattering model is the nearest physical one (the grid's
     azimuth interval is the idealized beam span, which overhangs the set of
-    directions a ground user can actually produce).
+    directions a ground user can actually produce). User ids run over
+    sectors, then sections, then subsections; each user draws its two
+    uniforms in that order.
     """
     sgrid = cfg.section_grid()
     subgrid = cfg.subsection_grid()
-    mu_h_top = sgrid.mu_h_range[1]
-    out: list[UserDraw] = []
-    uid = 0
-    for sector in range(1, cfg.n_sectors + 1):
-        for section in range(1, sgrid.n_sections + 1):
-            for sub in range(1, subgrid.l_count + 1):
-                c_phi, c_h = cell_center(sgrid, subgrid, section, sub)
-                u1, u2 = rng.random(2)
-                mu_phi = c_phi + (u1 - 0.5) * subgrid.delta_phi
-                mu_h = c_h + (u2 - 0.5) * subgrid.delta_h
-                mu_h = min(max(mu_h, 0.0), mu_h_top)
-                sin_el = math.sqrt(max(1.0 - mu_h * mu_h, 1e-12))
-                elevation = math.acos(min(mu_h, 1.0))
-                azimuth = math.acos(min(max(mu_phi / sin_el, -1.0), 1.0))
-                distance = cfg.haps_altitude / sin_el
-                angles = AngularCoordinates(
-                    azimuth=azimuth, elevation=elevation,
-                    mu_phi=mu_phi, mu_h=mu_h,
-                )
-                cell = locate(angles, sgrid, subgrid, sector)
-                uid += 1
-                out.append((uid, distance, angles, cell))
-    return out
+    per_sector = sgrid.n_sections * subgrid.l_count
+    section = np.repeat(np.arange(1, sgrid.n_sections + 1), subgrid.l_count)
+    subsection = np.tile(np.arange(1, subgrid.l_count + 1), sgrid.n_sections)
+    c_phi, c_h = cell_center(sgrid, subgrid, section, subsection)
+    n = cfg.n_sectors * per_sector
+    u = rng.random((n, 2))
+    mu_phi = np.tile(c_phi, cfg.n_sectors) + (u[:, 0] - 0.5) * subgrid.delta_phi
+    mu_h = np.tile(c_h, cfg.n_sectors) + (u[:, 1] - 0.5) * subgrid.delta_h
+    mu_h = np.minimum(np.maximum(mu_h, 0.0), sgrid.mu_h_range[1])
+    sin_el = np.sqrt(np.maximum(1.0 - mu_h * mu_h, 1e-12))
+    angles = AngularCoordinates(
+        azimuth=_acos(np.clip(mu_phi / sin_el, -1.0, 1.0)),
+        elevation=_acos(np.minimum(mu_h, 1.0)),
+        mu_phi=mu_phi,
+        mu_h=mu_h,
+    )
+    # every draw lies inside its own cell, so inside the grid
+    located_section, located_subsection, _inside = locate(angles, sgrid, subgrid)
+    return Placement(
+        user_id=np.arange(1, n + 1),
+        distance=cfg.haps_altitude / sin_el,
+        angles=angles,
+        sector=np.repeat(np.arange(1, cfg.n_sectors + 1), per_sector),
+        section=located_section,
+        subsection=located_subsection,
+    )
 
 
 def _disk_users(
     cfg: ScenarioConfig, rng: np.random.Generator
-) -> tuple[list[UserDraw], int]:
-    """users_per_trial positions i.i.d. uniform over the coverage disk."""
-    sgrid = cfg.section_grid()
-    subgrid = cfg.subsection_grid()
+) -> tuple[Placement, int]:
+    """users_per_trial positions i.i.d. uniform over the coverage disk;
+    drops outside the sector's grid are counted, not served."""
     positions = drop_users(
         cfg.effective_users(), cfg.coverage_radius, cfg.haps_altitude, rng
     )
-    served: list[UserDraw] = []
-    unserved = 0
-    for uid, pos in enumerate(positions, start=1):
-        global_az = math.atan2(pos.ground_y, pos.ground_x)
-        sector = sector_of(global_az, cfg.n_sectors)
-        angles = user_angles(pos, sector_boresight(sector, cfg.n_sectors))
-        try:
-            cell = locate(angles, sgrid, subgrid, sector)
-        except OutOfCoverageError:
-            unserved += 1
-            continue
-        served.append((uid, pos.distance_3d, angles, cell))
-    return served, unserved
+    sector = sector_of(
+        np.arctan2(positions.ground_y, positions.ground_x), cfg.n_sectors
+    )
+    angles = user_angles(positions, sector_boresight(sector, cfg.n_sectors))
+    section, subsection, inside = locate(
+        angles, cfg.section_grid(), cfg.subsection_grid()
+    )
+    keep = np.flatnonzero(inside)
+    return Placement(
+        user_id=keep + 1,
+        distance=positions.distance_3d[keep],
+        angles=AngularCoordinates(
+            azimuth=angles.azimuth[keep],
+            elevation=angles.elevation[keep],
+            mu_phi=angles.mu_phi[keep],
+            mu_h=angles.mu_h[keep],
+        ),
+        sector=sector[keep],
+        section=section[keep],
+        subsection=subsection[keep],
+    ), len(inside) - len(keep)
 
 
 def place_and_cluster(
     cfg: ScenarioConfig, master_seed: int, trial: int
-) -> tuple[list[UserDraw], int, np.random.Generator]:
+) -> tuple[Placement, int, np.random.Generator]:
     """Place users and resolve their grid cells.
 
     Default (users_per_trial unset): one user per cell, the full-occupancy
@@ -206,28 +231,19 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     """
     served, unserved, rng = place_and_cluster(cfg, master_seed, trial)
     acfg = cfg.array_config()
-    angle_list = [angles for _, _, angles, _ in served]
+    angles = served.angles
 
     fading = large_scale_fading(
-        np.array([distance for _, distance, _, _ in served], dtype=float),
-        cfg.carrier_freq, cfg.fading_model(), rng,
+        served.distance, cfg.carrier_freq, cfg.fading_model(), rng
     )
     # the covariances live only for this call, which keeps them out of the
     # peak memory of the per-trial structures built below
     channels = sample_channel(
         ChannelStats(
-            mean=los_channel(
-                fading,
-                AngularCoordinates(
-                    azimuth=np.array([a.azimuth for a in angle_list], dtype=float),
-                    elevation=np.array([a.elevation for a in angle_list], dtype=float),
-                    mu_phi=np.array([a.mu_phi for a in angle_list], dtype=float),
-                    mu_h=np.array([a.mu_h for a in angle_list], dtype=float),
-                ),
-                acfg,
-            ),
+            mean=los_channel(fading, angles, acfg),
             covariance=correlation_matrices(
-                angle_list,
+                angles.azimuth,
+                angles.elevation,
                 cfg.scattering_spread(),
                 fading.beta_nlos,
                 acfg,
@@ -238,33 +254,48 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
         rng,
     )
 
-    clusters = cluster_users([(uid, cell) for uid, _, _, cell in served])
+    ids = served.user_id.tolist()
+    cells = tuple(map(
+        GridCell,
+        served.sector.tolist(), served.section.tolist(), served.subsection.tolist(),
+    ))
+    clusters = cluster_users(list(zip(ids, cells)))
     shares: dict[int, float] = {}
     for cl in clusters:
         shares.update(cl.time_shares)
     plan = assign_resource_blocks(clusters, cfg.nbr, cfg.r)
 
-    users = tuple(
-        ServedUser(
-            user_id=uid, cell=cell, angles=angles, channel=h_vec,
-            time_share=shares[uid],
-        )
-        for (uid, _dist, angles, cell), h_vec in zip(served, channels)
+    time_shares = tuple(map(shares.__getitem__, ids))
+    users = tuple(map(
+        ServedUser,
+        ids,
+        cells,
+        map(
+            AngularCoordinates,
+            angles.azimuth.tolist(), angles.elevation.tolist(),
+            angles.mu_phi.tolist(), angles.mu_h.tolist(),
+        ),
+        channels,
+        time_shares,
+    ))
+    interference = build_interference_map(
+        users, plan, build_cluster_precoders(users, acfg)
     )
-    # allocator gain: the transmitter only knows channel statistics, so
-    # QoS is budgeted on the deterministic matched-beam direct-path gain
-    # |mean^H v|^2 = beta_los, not on the realized fade
-    gains = dict(zip((uid for uid, _, _, _ in served), fading.beta_los.tolist()))
     return TrialState(
         cfg=cfg,
         trial=trial,
         users=users,
         plan=plan,
-        gains=gains,
+        # allocator gain: the transmitter only knows channel statistics, so
+        # QoS is budgeted on the deterministic matched-beam direct-path gain
+        # |mean^H v|^2 = beta_los, not on the realized fade
+        gains=dict(zip(ids, fading.beta_los.tolist())),
         unserved=unserved,
-        interference=build_interference_map(
-            users, plan, build_cluster_precoders(users, acfg)
-        ),
+        interference=interference,
+        user_ids=tuple(ids),
+        cells=cells,
+        time_shares=time_shares,
+        uid_order=np.argsort(np.array(interference.user_ids, dtype=np.int64)),
     )
 
 
@@ -284,18 +315,17 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         state.users, state.plan, power, qos, rho, cfg.bw_rb,
         state.gains, state.interference,
     )
-    rows = tuple(
-        UserRow(
-            user_id=u.user_id,
-            cell=u.cell,
-            time_share=u.time_share,
-            omega=power.omega[u.user_id],
-            sinr=report.sinr[u.user_id],
-            spectral_efficiency=report.spectral_efficiency[u.user_id],
-            rate_bps=report.rates[u.user_id],
-        )
-        for u in sorted(state.users, key=lambda u: u.user_id)
-    )
+    order = state.uid_order
+    rows = tuple(map(
+        UserRow,
+        state.user_ids,
+        state.cells,
+        state.time_shares,
+        map(power.omega.__getitem__, state.user_ids),
+        report.sinr[order].tolist(),
+        report.spectral_efficiency[order].tolist(),
+        report.rates[order].tolist(),
+    ))
     return TrialRecord(
         trial=state.trial,
         sum_rate_bps=report.sum_rate,
@@ -466,9 +496,9 @@ def heatmap(
     and the matrix holds |normalized steering inner products| for its members.
     """
     served, _unserved, _rng = place_and_cluster(cfg, cfg.seed, 0)
-    groups: dict[tuple[int, int], list[tuple[int, AngularCoordinates]]] = {}
-    for uid, _dist, angles, cell in served:
-        groups.setdefault((cell.sector, cell.subsection), []).append((uid, angles))
+    groups: dict[tuple[int, int], list[int]] = {}  # positions, in user-id order
+    for i, key in enumerate(zip(served.sector.tolist(), served.subsection.tolist())):
+        groups.setdefault(key, []).append(i)
     acfg = cfg.array_config()
     rows: list[list[object]]
     if not groups or max(len(v) for v in groups.values()) < 2:
@@ -478,10 +508,10 @@ def heatmap(
         rows = [["no cluster holds more than one user"]]
     else:
         key = min(groups, key=lambda k: (-len(groups[k]), k))
-        members = sorted(groups[key], key=lambda m: m[0])
-        ids = [uid for uid, _ in members]
-        mu_phi = np.array([angles.mu_phi for _, angles in members])
-        mu_h = np.array([angles.mu_h for _, angles in members])
+        members = groups[key]
+        ids = served.user_id[members].tolist()
+        mu_phi = served.angles.mu_phi[members]
+        mu_h = served.angles.mu_h[members]
         matrix = steering_correlation(
             mu_phi[:, None] - mu_phi, mu_h[:, None] - mu_h, acfg
         )

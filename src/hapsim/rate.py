@@ -39,9 +39,11 @@ class ServedUser:
 
 @dataclass(frozen=True)
 class RateReport:
-    rates: Mapping[int, float]                 # bits/s
-    spectral_efficiency: Mapping[int, float]   # bits/s/Hz within the user's slot
-    sinr: Mapping[int, float]
+    """Per-user arrays in the interference map's evaluation order."""
+
+    rates: np.ndarray                 # bits/s
+    spectral_efficiency: np.ndarray   # bits/s/Hz within the user's slot
+    sinr: np.ndarray
     sum_rate: float
 
 
@@ -197,7 +199,8 @@ def evaluate_objective(
     once per trial and reused at every power point. Each user is evaluated
     block by block: with disjoint block sets every block of a user sees the
     same interferers; when the plan reuses blocks across clusters the
-    wrapped blocks also collect the other cluster's users.
+    wrapped blocks also collect the other cluster's users. The report's
+    arrays follow the map's evaluation order, interference.user_ids.
     """
     im = interference
     uids = im.user_ids
@@ -205,44 +208,44 @@ def evaluate_objective(
         raise ValueError(
             f"interference map holds {len(uids)} users, trial has {len(users)}"
         )
-    omega = np.array([power.omega[uid] for uid in uids], dtype=float)
+    n = len(uids)
+    omega = np.fromiter(map(power.omega.__getitem__, uids), float, n)
     omega_eff = omega * im.time_share
     own = im.own_gain * omega
-    base = np.zeros(len(uids))
+    base = np.zeros(n)
     for rows, inter, gains in im.same_cluster:
         base[rows] = np.sum(omega_eff[inter] * gains, axis=1)
     # every cluster holds plan.rb_per_user blocks (assign_resource_blocks)
     blocks = plan.rb_per_user
-    extra = np.zeros((len(uids), blocks))
+    extra = np.zeros((n, blocks))
     for row, pos, others in im.wrapped:
         total = 0.0
         for rows, gains in others:
             total += float(np.sum(omega_eff[rows] * gains))
         extra[row, pos] = total
     # per-block log terms summed in block order, as a scalar loop would
-    se_sum = np.zeros(len(uids))
+    se_sum = np.zeros(n)
     for pos in range(blocks):
         sinr_b = rho * own / (rho * (base + extra[:, pos]) + 1.0)
         se_sum = se_sum + np.log2(1.0 + sinr_b)
     se = se_sum / blocks
     rate_arr = im.time_share * blocks * bw_rb * se
 
-    se_list = se.tolist()
-    rate_list = rate_arr.tolist()
-    rates = dict(zip(uids, rate_list))
-    ses = dict(zip(uids, se_list))
-    sinrs = {uid: 2.0 ** v - 1.0 for uid, v in zip(uids, se_list)}
-    sum_rate = float(sum(rate_list))
+    # 2 ** v through the C library pow, as Python float arithmetic does;
+    # numpy's vectorized power can differ in the last bit. The sum runs
+    # in evaluation order, sequentially.
+    sinr = np.array([2.0 ** v - 1.0 for v in se.tolist()])
+    sum_rate = float(sum(rate_arr.tolist()))
 
     if uids:
-        gain = np.array([allocator_gains[uid] for uid in uids], dtype=float)
+        gain = np.fromiter(map(allocator_gains.__getitem__, uids), float, n)
         model_margin = float(np.min(np.log2(1.0 + rho * omega * gain) - qos.r_min))
         realized_margin = float(np.min(se - qos.r_min))
     else:
         model_margin = float("inf")
         realized_margin = float("inf")
     report = RateReport(
-        rates=rates, spectral_efficiency=ses, sinr=sinrs, sum_rate=sum_rate
+        rates=rate_arr, spectral_efficiency=se, sinr=sinr, sum_rate=sum_rate
     )
     constraints = ConstraintReport(
         power_margin_w=power.p_total - power.spent,

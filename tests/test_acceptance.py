@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_REPORTS
+from oracles import correlation_matrix
 
 from hapsim.allocation import QoSSpec, fill_remaining_power, min_power_coefficients
 from hapsim.channel import (
     ChannelStats,
     LargeScaleFading,
     ScatteringSpread,
-    correlation_matrix,
     los_channel,
     sample_channel,
     steering,
@@ -546,14 +546,15 @@ def test_08_cocluster_correlation_trend():
         count = 0
         for seed in range(100):
             served, _unserved, _rng = place_and_cluster(cfg, 42, seed)
-            groups: dict[tuple[int, int], list] = {}
-            for _uid, _dist, angles, cell in served:
-                groups.setdefault((cell.sector, cell.subsection), []).append(angles)
+            groups: dict[tuple[int, int], list[int]] = {}
+            keys = zip(served.sector.tolist(), served.subsection.tolist())
+            for i, key in enumerate(keys):
+                groups.setdefault(key, []).append(i)
             for members in groups.values():
                 if len(members) < 2:
                     continue
-                mu_phi = np.array([a.mu_phi for a in members])
-                mu_h = np.array([a.mu_h for a in members])
+                mu_phi = served.angles.mu_phi[members]
+                mu_h = served.angles.mu_h[members]
                 corr = steering_correlation(
                     mu_phi[:, None] - mu_phi[None, :],
                     mu_h[:, None] - mu_h[None, :],

@@ -1,12 +1,17 @@
+import heapq
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import deadline
+from hapsim import allocation
 from hapsim.dofgrid import GridCell
 from hapsim.allocation import (
+    PowerAllocation,
     PowerBudgetError,
     QoSSpec,
     assign_resource_blocks,
@@ -259,3 +264,125 @@ class TestFillRemainingPower:
                 moved[src] -= take
                 moved[dst] += min(take, dp_dst)
                 assert rate_of(moved) <= base + 1e-9
+
+
+def reference_fill(omega_min, gains, rho, p_max, p_total, qos):
+    """The greedy fill as a heap loop, the oracle for fill_remaining_power.
+
+    The heap is keyed by p_max * 2^R / (rho * g), ties by user id; each pop
+    grants one delta_r step at cost (2^delta_r - 1) * key and multiplies the
+    key by 2^delta_r. When the leftover no longer covers the cheapest step,
+    that user absorbs it as a partial grant.
+    """
+    omega = {uid: float(w) for uid, w in omega_min.items()}
+    p_rem = p_total - p_max * sum(omega.values())
+    if not math.isfinite(p_rem):
+        raise ValueError(f"power budget is not finite (leftover {p_rem!r})")
+    if p_rem < -1e-9 * p_total:
+        raise PowerBudgetError(-p_rem)
+    step = 2.0 ** qos.delta_r - 1.0
+    heap = [
+        (p_max * (2.0 ** qos.r_min) / (rho * gains[uid]), uid)
+        for uid in sorted(omega)
+    ]
+    heapq.heapify(heap)
+    while heap:
+        base, uid = heap[0]
+        delta_p = step * base
+        if delta_p > p_rem:
+            if p_rem > 0:
+                omega[uid] += p_rem / p_max  # final partial grant
+            break
+        heapq.heapreplace(heap, (base * (2.0 ** qos.delta_r), uid))
+        omega[uid] += delta_p / p_max
+        p_rem -= delta_p
+    return PowerAllocation(omega=omega, p_max=p_max, p_total=p_total)
+
+
+def fill_case(seed, n, r_min, delta_r, headroom, tied, reverse):
+    """Fill inputs: n users under shuffled ids, gains over three decades
+    (drawn from a few values when tied, so keys tie across users), and a
+    budget of headroom times the QoS floor power (or, at r_min = 0, times
+    the floor power of r_min = 1)."""
+    rng = np.random.default_rng(seed)
+    g = 10.0 ** rng.uniform(-2.0, 1.0, n)
+    if tied and n:
+        g = rng.choice(g[: max(1, n // 8)], n)
+    ids = rng.permutation(3 * n + 1)[:n]
+    gains = {int(u): float(x) for u, x in zip(ids, g)}
+    rho, p_max = 10.0, float(rng.choice([1.0, 2.5]))
+    qos = QoSSpec(r_min=r_min, delta_r=delta_r)
+    # the floor power summed as min_power_coefficients sums it, so a
+    # headroom of exactly 1 leaves no leftover rather than a deficit
+    need = 2.0 ** r_min - 1.0
+    floor_w = p_max * sum(need / (rho * gains[u]) for u in sorted(gains))
+    if floor_w == 0.0:
+        floor_w = p_max * sum(1.0 / (rho * x) for x in g) or 1.0
+    p_total = headroom * floor_w
+    omega_min = min_power_coefficients(gains, rho, qos, p_max, p_total)
+    if reverse:
+        omega_min = dict(reversed(omega_min.items()))
+    return omega_min, gains, rho, p_max, p_total, qos
+
+
+class TestFillMatchesHeap:
+    """The closed-form replay equals the heap loop bit for bit, key order
+    of omega included."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 400),
+        r_min=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        delta_r=st.sampled_from([0.05, 0.1, 0.5]),
+        headroom=st.floats(1.0, 30.0),
+        tied=st.booleans(),
+        reverse=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_heap(self, seed, n, r_min, delta_r, headroom, tied, reverse):
+        args = fill_case(seed, n, r_min, delta_r, headroom, tied, reverse)
+        got = fill_remaining_power(*args)
+        want = reference_fill(*args)
+        assert list(got.omega.items()) == list(want.omega.items())
+        assert (got.p_max, got.p_total, got.qos_feasible) == (
+            want.p_max, want.p_total, want.qos_feasible)
+
+    def test_short_level_rebuilds(self, monkeypatch):
+        # a water level far below the stop makes the replay run again
+        monkeypatch.setattr(
+            allocation, "_water_level", lambda key0, p_rem: float(key0.min())
+        )
+        for seed in range(5):
+            args = fill_case(seed, 200, 1.0, 0.05, 20.0, seed % 2 == 0, False)
+            got = fill_remaining_power(*args)
+            assert list(got.omega.items()) == list(reference_fill(*args).omega.items())
+
+    def test_non_advancing_step_raises(self):
+        # 2^delta_r rounds to 1: every step is free and a heap loop never ends
+        qos = QoSSpec(r_min=1.0, delta_r=1e-18)
+        with deadline(5.0), pytest.raises(ValueError, match="finite positive"):
+            fill_remaining_power({0: 0.1}, {0: 1.0}, 10.0, 1.0, 4.0, qos)
+
+    def test_memory_follows_grants(self):
+        # 1200 users at a 50 dBm budget: 32k grants, up to 111 for one
+        # user. The candidate keys stop near the water level, so the call's
+        # peak stays under 1 MB; the keys alone of an n x k_max candidate
+        # set would take 1.1 MB.
+        from hapsim.config import ScenarioConfig
+        from hapsim.harness import dbm_to_watts, prepare_trial
+
+        cfg = ScenarioConfig(bandwidth=20e6, r=1, quadrature_points=2).resolve()
+        state = prepare_trial(cfg, 42, 0)
+        p = dbm_to_watts(50.0)
+        rho, qos = cfg.rho(p), cfg.qos()
+        omega_min = min_power_coefficients(state.gains, rho, qos, p, p)
+        assert len(omega_min) == 1200
+        tracemalloc.start()
+        try:
+            got = fill_remaining_power(omega_min, state.gains, rho, p, p, qos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = reference_fill(omega_min, state.gains, rho, p, p, qos)
+        assert list(got.omega.items()) == list(want.omega.items())

@@ -1,12 +1,14 @@
-"""The benchmark's bindings and hooks still fit the program.
+"""The benchmark's bindings, hooks and reference values still fit the program.
 
 perfbench/run.py wraps names that hapsim.cli and hapsim.harness bind and
 reads counters from their arguments. A refactor that moves one of those
 names or changes an argument the hooks read fails here, in the unit suite,
-instead of only when the benchmark runs.
+instead of only when the benchmark runs. So does a change that moves the
+benchmark's seed-42 means off perfbench/reference.json.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -66,3 +68,19 @@ def test_traced_run_matches_untraced(perfbench, tmp_path, capsys):
     assert tracer.counts["max_group_size"] > 0
     for holder, attr, _defining in perfbench.SPANS:
         assert not hasattr(getattr(sys.modules[holder], attr), "__wrapped__")
+
+
+@pytest.mark.parametrize("workload", ["ordering-sweep", "run-q32", "disk-drop"])
+def test_reference_means_hold(perfbench, workload, tmp_path):
+    # the benchmark's seed-42 pass against perfbench/reference.json: a
+    # change that would make the benchmark report correct: false fails here
+    reference = json.loads(perfbench.REFERENCE_FILE.read_text())[workload]
+    check = perfbench.Check()
+    runner = perfbench.Runner(perfbench.WORKLOADS[workload], tmp_path)
+    try:
+        result = runner.run_pass(perfbench.REFERENCE_SEED, check)
+    finally:
+        runner.close()
+    perfbench.compare_reference(result, reference, check)
+    assert check.attempted > 0
+    assert check.failed == 0, check.problems

@@ -6,9 +6,7 @@ from hapsim.geometry import (
     ArrayConfig,
     AngularCoordinates,
     UserPosition,
-    array_wave_vector,
     element_indices,
-    element_position,
     user_angles,
 )
 from hapsim.channel import (
@@ -20,13 +18,14 @@ from hapsim.channel import (
     ScatteringSpread,
     composite_steering,
     correlation_matrices,
-    correlation_matrix,
     large_scale_fading,
     los_channel,
     path_loss_db,
     sample_channel,
     steering,
 )
+
+from oracles import array_wave_vector, correlation_matrix, element_position
 
 SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -68,6 +67,12 @@ class TestSteering:
     @settings(**SETTINGS)
     def test_two_periodic(self, mu, m):
         assert np.allclose(steering(mu, m), steering(mu + 2.0, m), atol=1e-12)
+
+
+def directions(angles):
+    """(azimuth, elevation) arrays of a list of AngularCoordinates."""
+    return (np.array([a.azimuth for a in angles], dtype=float),
+            np.array([a.elevation for a in angles], dtype=float))
 
 
 class TestLosChannel:
@@ -182,7 +187,7 @@ class TestLagDomainMatchesOracle:
 
     @staticmethod
     def check(angles, spread, beta, cfg, q, rule):
-        c = correlation_matrices(angles, spread, beta, cfg, q, rule)
+        c = correlation_matrices(*directions(angles), spread, beta, cfg, q, rule)
         ref = reference_correlation_matrices(angles, spread, beta, cfg, q, rule)
         assert np.max(np.abs(c - ref) / beta[:, None, None]) <= 1e-13
         assert np.array_equal(c, c.conj().transpose(0, 2, 1))
@@ -292,7 +297,7 @@ class TestBatchedMatchesLoop:
     def test_covariances_and_draws(self):
         spread = ScatteringSpread(np.radians(2.0), np.radians(3.0))
         beta = np.linspace(0.5, 2.0, len(self.angles))
-        batch = correlation_matrices(self.angles, spread, beta, self.cfg, 6)
+        batch = correlation_matrices(*directions(self.angles), spread, beta, self.cfg, 6)
         loop = [correlation_matrix(a, spread, b, self.cfg, 6)
                 for a, b in zip(self.angles, beta)]
         assert np.array_equal(batch, loop)

@@ -88,3 +88,18 @@ class TestSummaries:
             f"L=4 r=2  fullest cluster {n} users, "
             f"mean off-diagonal orthogonality defect {mean:.4f}"
         ]
+
+
+def test_quadrature_rule_reaches_the_run(tmp_path, capsys):
+    # the config key, not only a keyword argument, selects the rule
+    midpoint = tmp_path / "midpoint.cfg"
+    midpoint.write_text(TINY.read_text() + "quadrature_rule = midpoint\n")
+    outputs = {}
+    for name, config in (("gauss", TINY), ("midpoint", midpoint)):
+        out = tmp_path / name
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        meta = (out / "meta.txt").read_text().splitlines()
+        assert f"quadrature_rule = {name}" in meta
+        outputs[name] = (out / "run.csv").read_bytes()
+    capsys.readouterr()
+    assert outputs["midpoint"] != outputs["gauss"]

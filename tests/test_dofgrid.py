@@ -4,16 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from hapsim.geometry import ArrayConfig, AngularCoordinates
 from hapsim.dofgrid import (
-    GridCell,
-    OutOfCoverageError,
     build_section_grid,
     cell_center,
     dof_azimuth,
     dof_elevation,
     locate,
-    orthogonality_defect,
     subsections_per_section,
 )
+
+from oracles import orthogonality_defect
 
 SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -106,38 +105,44 @@ class TestLocate:
     def corner(self):
         return self.grid.origin
 
+    def cell(self, mu_phi, mu_h):
+        """(section, subsection, inside) of one point, as Python values."""
+        section, subsection, inside = locate(mu_only(mu_phi, mu_h), self.grid, self.sub)
+        return int(section), int(subsection), bool(inside)
+
     def test_lower_corner(self):
         x, y = self.corner()
-        cell = locate(mu_only(x + 1e-12, y + 1e-12), self.grid, self.sub, 1)
-        assert cell == GridCell(sector=1, section=1, subsection=1)
+        assert self.cell(x + 1e-12, y + 1e-12) == (1, 1, True)
 
     def test_section_center(self):
         x, y = self.corner()
-        ang = mu_only(x + self.grid.section_width_phi / 2, y + self.grid.section_width_h / 2)
-        cell = locate(ang, self.grid, self.sub, 2)
-        assert cell.section == 1
-        assert cell.subsection == 13  # middle of the 5x5 grid
+        section, subsection, _ = self.cell(
+            x + self.grid.section_width_phi / 2, y + self.grid.section_width_h / 2
+        )
+        assert section == 1
+        assert subsection == 13  # middle of the 5x5 grid
 
     def test_upper_edge(self):
         x, y = self.corner()
-        ang = mu_only(
+        section, subsection, _ = self.cell(
             x + self.grid.n_phi * self.grid.section_width_phi - 1e-9,
             y + self.grid.n_theta * self.grid.section_width_h - 1e-9,
         )
-        cell = locate(ang, self.grid, self.sub, 1)
-        assert cell.section == self.grid.n_sections
-        assert cell.subsection == self.sub.l_count
+        assert section == self.grid.n_sections
+        assert subsection == self.sub.l_count
 
     def test_margin_clamps(self):
         # values inside the range but in a margin clamp into the edge cells
         lo_h = self.grid.mu_h_range[0]
-        ang = mu_only(self.corner()[0], lo_h)
-        cell = locate(ang, self.grid, self.sub, 1)
-        assert cell.section == 1
+        section, _, inside = self.cell(self.corner()[0], lo_h)
+        assert section == 1
+        assert inside
 
     def test_out_of_coverage(self):
-        with pytest.raises(OutOfCoverageError):
-            locate(mu_only(self.grid.mu_phi_range[0] - 0.01, 0.3), self.grid, self.sub, 1)
+        _, _, inside = self.cell(self.grid.mu_phi_range[0] - 0.01, 0.3)
+        assert not inside
+        _, _, inside = self.cell(0.5, self.grid.mu_h_range[1] + 0.01)
+        assert not inside
 
     @given(data=st.data())
     @settings(**SETTINGS)
@@ -145,8 +150,7 @@ class TestLocate:
         sec = data.draw(st.integers(1, self.grid.n_sections))
         sub = data.draw(st.integers(1, self.sub.l_count))
         mu = cell_center(self.grid, self.sub, sec, sub)
-        cell = locate(mu_only(*mu), self.grid, self.sub, 3)
-        assert (cell.section, cell.subsection) == (sec, sub)
+        assert self.cell(*mu) == (sec, sub, True)
 
     @given(
         mu_phi=st.floats(0.0, 1.0),
@@ -156,9 +160,16 @@ class TestLocate:
     def test_total_on_range(self, mu_phi, mu_h):
         lo, hi = self.grid.mu_phi_range
         x = lo + mu_phi * (hi - lo)
-        cell = locate(mu_only(x, mu_h), self.grid, self.sub, 1)
-        assert 1 <= cell.section <= self.grid.n_sections
-        assert 1 <= cell.subsection <= self.sub.l_count
+        section, subsection, inside = self.cell(x, mu_h)
+        assert inside
+        assert 1 <= section <= self.grid.n_sections
+        assert 1 <= subsection <= self.sub.l_count
+
+    def test_cell_center_rejects_bad_indices(self):
+        with pytest.raises(ValueError):
+            cell_center(self.grid, self.sub, [1, self.grid.n_sections + 1], [1, 1])
+        with pytest.raises(ValueError):
+            cell_center(self.grid, self.sub, [1, 1], [0, 1])
 
 
 class TestOrthogonalityDefect:

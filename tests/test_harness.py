@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from hapsim.channel import composite_steering
 from hapsim.config import ScenarioConfig
-from hapsim.dofgrid import orthogonality_defect
+from hapsim.geometry import AngularCoordinates
 from hapsim.harness import (
     _fmt,
     dbm_to_watts,
@@ -20,6 +21,8 @@ from hapsim.harness import (
     sweep_rb,
     trial_rng,
 )
+
+from oracles import orthogonality_defect
 
 FAST = dict(quadrature_points=4, trials=2, seed=42)
 
@@ -52,32 +55,197 @@ class TestPlacement:
         cfg = fast_cfg()
         served, unserved, _ = place_and_cluster(cfg, cfg.seed, 0)
         assert unserved == 0
-        assert len(served) == cfg.effective_users()
-        cells = {(c.sector, c.section, c.subsection) for _, _, _, c in served}
-        assert len(cells) == len(served)  # one user per cell
+        assert len(served.user_id) == cfg.effective_users()
+        cells = set(zip(served.sector.tolist(), served.section.tolist(),
+                        served.subsection.tolist()))
+        assert len(cells) == len(served.user_id)  # one user per cell
 
     def test_cell_mode_user_geometry(self):
         cfg = fast_cfg()
         served, _, _ = place_and_cluster(cfg, cfg.seed, 0)
-        for _uid, distance, ang, _cell in served:
+        for distance, elevation, mu_h in zip(
+            served.distance, served.angles.elevation, served.angles.mu_h
+        ):
             # distance consistent with the elevation row: d = h / sin(theta)
             assert distance == pytest.approx(
-                cfg.haps_altitude / np.sin(ang.elevation), rel=1e-9
+                cfg.haps_altitude / np.sin(elevation), rel=1e-9
             )
-            assert ang.mu_h == pytest.approx(np.cos(ang.elevation), abs=1e-12)
+            assert mu_h == pytest.approx(np.cos(elevation), abs=1e-12)
 
     def test_disk_mode_count(self):
         cfg = fast_cfg(users_per_trial=40)
         served, unserved, _ = place_and_cluster(cfg, cfg.seed, 0)
-        assert len(served) + unserved == 40
+        assert len(served.user_id) + unserved == 40
 
     def test_determinism(self):
         cfg = fast_cfg()
         a, _, _ = place_and_cluster(cfg, cfg.seed, 1)
         b, _, _ = place_and_cluster(cfg, cfg.seed, 1)
-        assert [(u, d, ang, c) for u, d, ang, c in a] == [
-            (u, d, ang, c) for u, d, ang, c in b
-        ]
+        assert placement_rows(a) == placement_rows(b)
+
+
+# -- per-user placement loops, the references for the array placement ---------
+#
+# Each restates the per-user scalar code the array placement replaced, with
+# the same floating-point operations in the same order: results must be
+# equal bit for bit.
+
+
+def _axis_index_ref(x, lo, hi, margin, n, width, s):
+    tol = 1e-9 * (hi - lo)
+    if x < lo - tol or x > hi + tol:
+        return None
+    grid_lo = lo + margin
+    sec = min(max(math.floor((x - grid_lo) / width), 0), n - 1)
+    sub = min(max(math.floor((x - grid_lo - sec * width) / (width / s)), 0), s - 1)
+    return sec, sub
+
+
+def _locate_ref(mu_phi, mu_h, g, subgrid, sector):
+    """(sector, section, subsection) of one user, None out of coverage."""
+    s = subgrid.per_axis
+    a = _axis_index_ref(mu_phi, *g.mu_phi_range, g.margin_phi, g.n_phi,
+                        g.section_width_phi, s)
+    e = _axis_index_ref(mu_h, *g.mu_h_range, g.margin_h, g.n_theta,
+                        g.section_width_h, s)
+    if a is None or e is None:
+        return None
+    return (sector, a[0] * g.n_theta + e[0] + 1, a[1] * s + e[1] + 1)
+
+
+def cell_users_ref(cfg, rng):
+    """One user per cell: (uid, distance, angles, cell) per user, unserved 0."""
+    g = cfg.section_grid()
+    subgrid = cfg.subsection_grid()
+    s = subgrid.per_axis
+    lo_phi, lo_h = g.origin
+    out = []
+    uid = 0
+    for sector in range(1, cfg.n_sectors + 1):
+        for section in range(1, g.n_sections + 1):
+            for sub in range(1, subgrid.l_count + 1):
+                a_sec, e_sec = divmod(section - 1, g.n_theta)
+                a_sub, e_sub = divmod(sub - 1, s)
+                c_phi = (lo_phi + a_sec * g.section_width_phi
+                         + (a_sub + 0.5) * (g.section_width_phi / s))
+                c_h = (lo_h + e_sec * g.section_width_h
+                       + (e_sub + 0.5) * (g.section_width_h / s))
+                u1, u2 = rng.random(2)
+                mu_phi = c_phi + (u1 - 0.5) * subgrid.delta_phi
+                mu_h = c_h + (u2 - 0.5) * subgrid.delta_h
+                mu_h = min(max(mu_h, 0.0), g.mu_h_range[1])
+                sin_el = math.sqrt(max(1.0 - mu_h * mu_h, 1e-12))
+                angles = AngularCoordinates(
+                    azimuth=math.acos(min(max(mu_phi / sin_el, -1.0), 1.0)),
+                    elevation=math.acos(min(mu_h, 1.0)),
+                    mu_phi=mu_phi, mu_h=mu_h,
+                )
+                uid += 1
+                out.append((uid, cfg.haps_altitude / sin_el, angles,
+                            _locate_ref(mu_phi, mu_h, g, subgrid, sector)))
+    return out, 0
+
+
+def disk_users_ref(cfg, rng):
+    """users_per_trial disk drops: served (uid, distance, angles, cell), unserved."""
+    count, radius, h = cfg.effective_users(), cfg.coverage_radius, cfg.haps_altitude
+    radii = radius * np.sqrt(rng.random(count))
+    azimuths = 2.0 * np.pi * rng.random(count)
+    n = cfg.n_sectors
+    served, unserved = [], 0
+    for uid, (rad, az) in enumerate(zip(radii, azimuths), start=1):
+        x, y = float(rad * np.cos(az)), float(rad * np.sin(az))
+        sector = min(int((math.atan2(y, x) % (2.0 * np.pi)) // (2.0 * np.pi / n)) + 1, n)
+        boresight = (sector - 0.5) * 2.0 * np.pi / n
+        r = float(np.hypot(x, y))
+        d = float(np.hypot(r, h))
+        global_az = float(np.arctan2(y, x)) % (2.0 * np.pi)
+        phi = (global_az - boresight + np.pi) % (2.0 * np.pi) - np.pi
+        angles = AngularCoordinates(
+            azimuth=phi, elevation=float(np.arctan2(h, r)),
+            mu_phi=(h / d) * float(np.cos(phi)), mu_h=r / d,
+        )
+        cell = _locate_ref(angles.mu_phi, angles.mu_h, cfg.section_grid(),
+                           cfg.subsection_grid(), sector)
+        if cell is None:
+            unserved += 1
+            continue
+        served.append((uid, d, angles, cell))
+    return served, unserved
+
+
+def placement_rows(placement):
+    """(uid, distance, (azimuth, elevation, mu_phi, mu_h), cell) per user."""
+    a = placement.angles
+    return list(zip(
+        placement.user_id.tolist(),
+        placement.distance.tolist(),
+        zip(a.azimuth.tolist(), a.elevation.tolist(), a.mu_phi.tolist(), a.mu_h.tolist()),
+        zip(placement.sector.tolist(), placement.section.tolist(),
+            placement.subsection.tolist()),
+    ))
+
+
+def reference_rows(served):
+    return [
+        (uid, dist, (a.azimuth, a.elevation, a.mu_phi, a.mu_h), cell)
+        for uid, dist, a, cell in served
+    ]
+
+
+class TestPlacementMatchesLoop:
+    """Array placement equals the per-user loops bit for bit: ids,
+    distances, angles, cells, the unserved count and the stream after."""
+
+    @staticmethod
+    def check(cfg, trial=0):
+        served, unserved, rng = place_and_cluster(cfg, cfg.seed, trial)
+        ref_rng = trial_rng(cfg.seed, trial)
+        loop = cell_users_ref if cfg.users_per_trial is None else disk_users_ref
+        ref_served, ref_unserved = loop(cfg, ref_rng)
+        assert placement_rows(served) == reference_rows(ref_served)
+        assert unserved == ref_unserved
+        assert rng.random() == ref_rng.random()
+        return served, unserved
+
+    @pytest.mark.parametrize("kw", [
+        dict(bandwidth=10e6, r=1),
+        dict(bandwidth=10e6, r=3),
+        dict(bandwidth=20e6, r=1),
+        dict(bandwidth=20e6, r=3),
+        dict(bandwidth=10e6, r=2, m_x=8, m_y=8),
+    ])
+    def test_full_occupancy(self, kw):
+        cfg = fast_cfg(**kw)
+        served, _ = self.check(cfg)
+        assert len(served.user_id) == cfg.effective_users()
+
+    @pytest.mark.parametrize("users", [0, 1, 400, 1200])
+    def test_disk_drops(self, users):
+        served, unserved = self.check(fast_cfg(users_per_trial=users), trial=3)
+        assert len(served.user_id) + unserved == users
+
+    def test_disk_drops_8x8(self):
+        self.check(fast_cfg(users_per_trial=400, m_x=8, m_y=8))
+
+    def test_every_drop_outside_the_grid(self, monkeypatch):
+        # a grid shifted off every attainable mu_phi serves nobody
+        grid = ScenarioConfig.section_grid
+        monkeypatch.setattr(
+            ScenarioConfig, "section_grid",
+            lambda self: replace(grid(self), mu_phi_range=(2.0, 3.0)),
+        )
+        served, unserved = self.check(fast_cfg(users_per_trial=50))
+        assert unserved == 50 and len(served.user_id) == 0
+
+    def test_zero_users_run_writes_header_only(self, tmp_path):
+        cfg = fast_cfg(users_per_trial=0)
+        records = run(cfg, out_dir=tmp_path / "run")
+        assert [len(r.users) for r in records] == [0, 0]
+        lines = (tmp_path / "run/run.csv").read_text().splitlines()
+        assert lines == [TestRunCsv.HEADER]
+        rows = sweep_power(cfg, [40.0, 50.0])
+        assert rows and all(row["mean_sum_rate_bps"] == 0.0 for row in rows)
 
 
 class TestRunTrial:
@@ -221,7 +389,11 @@ class TestSweepRb:
 def pairwise_defects(cfg, ids):
     """Reference heatmap: one orthogonality_defect call per ordered pair."""
     served, _, _ = place_and_cluster(cfg, cfg.seed, 0)
-    angles = {uid: ang for uid, _, ang, _ in served}
+    a = served.angles
+    angles = {
+        uid: AngularCoordinates(azimuth=0.0, elevation=0.0, mu_phi=p, mu_h=h)
+        for uid, p, h in zip(served.user_id.tolist(), a.mu_phi.tolist(), a.mu_h.tolist())
+    }
     acfg = cfg.array_config()
     return np.array([
         [orthogonality_defect(angles[ua], angles[ub], acfg) for ub in ids]

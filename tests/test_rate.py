@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,13 +26,25 @@ def served(uid, cell, ang, channel, ts=1.0):
     return ServedUser(user_id=uid, cell=cell, angles=ang, channel=channel, time_share=ts)
 
 
+def by_user(report, im):
+    """The report's evaluation-order arrays as dicts keyed by user id."""
+    return SimpleNamespace(
+        rates=dict(zip(im.user_ids, report.rates.tolist())),
+        spectral_efficiency=dict(zip(im.user_ids, report.spectral_efficiency.tolist())),
+        sinr=dict(zip(im.user_ids, report.sinr.tolist())),
+        sum_rate=report.sum_rate,
+    )
+
+
 def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
-    """evaluate_objective with the users' own interference map; allocator
-    gains default to the realized own-beam gains |h^H p|^2."""
+    """evaluate_objective with the users' own interference map, its report
+    keyed by user id; allocator gains default to the realized own-beam
+    gains |h^H p|^2."""
     im = build_interference_map(users, plan, build_cluster_precoders(users, CFG))
     if gains is None:
         gains = dict(zip(im.user_ids, im.own_gain.tolist()))
-    return evaluate_objective(users, plan, power, qos, rho, bw_rb, gains, im)
+    report, cons = evaluate_objective(users, plan, power, qos, rho, bw_rb, gains, im)
+    return by_user(report, im), cons
 
 
 def one_cluster(angles, channels, r=1, ts=1.0):
@@ -314,6 +328,7 @@ class TestInterferenceMapMatchesLoop:
             state.users, state.plan, power, QoSSpec(), rho, cfg.bw_rb,
             state.gains, state.interference,
         )
+        report = by_user(report, state.interference)
         rates, ses, total = reference_objective(
             state.users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
         )
