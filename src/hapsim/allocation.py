@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-from .dofgrid import GridCell
 
 
 class PowerBudgetError(ValueError):
@@ -44,13 +42,13 @@ class QoSSpec:
             raise ValueError("delta_r must be > 0")
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """All users of one subsection index, with per-user time shares."""
+class Clustering(NamedTuple):
+    """Users grouped for scheduling; positions index the input arrays."""
 
-    subsection_id: int
-    members: tuple[tuple[int, GridCell], ...]  # (user id, cell), sorted by id
-    time_shares: Mapping[int, float]
+    order: np.ndarray   # positions by (sector, cluster, user id): evaluation order
+    starts: np.ndarray  # (groups + 1,) bounds of the (sector, cluster) groups in order
+    time_share: np.ndarray  # per position: 1 / users in its grid cell
+    cluster_ids: tuple[int, ...]  # subsection ids present, ascending
 
 
 @dataclass(frozen=True)
@@ -65,36 +63,49 @@ class ResourcePlan:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    omega: Mapping[int, float]
+    omega: np.ndarray  # per user, in user-id order
     p_max: float
     p_total: float
     qos_feasible: bool = True
 
     @property
     def spent(self) -> float:
-        return self.p_max * sum(self.omega.values())
+        # left to right, as Python's sum adds; np.sum adds pairwise
+        return self.p_max * sum(self.omega.tolist())
 
 
-def cluster_users(located: Sequence[tuple[int, GridCell]]) -> list[Cluster]:
-    """Group (user id, cell) pairs into clusters by subsection index.
+def cluster_users(
+    user_id: np.ndarray,
+    sector: np.ndarray,
+    section: np.ndarray,
+    subsection: np.ndarray,
+) -> Clustering:
+    """Group users by subsection index and split each cell's airtime.
 
-    Members of one cell split its airtime equally. Output is sorted by
-    subsection id, members by user id, so clustering is deterministic.
+    Cluster l holds every user of subsection index l; within one sector
+    its members form a co-scheduled group. One stable lexsort puts the
+    groups in (sector, cluster) order, members by user id. Members of one
+    grid cell split its airtime equally; cells are counted by bincount
+    over a flat cell index (np.unique would import numpy.ma).
     """
-    by_subsection: dict[int, list[tuple[int, GridCell]]] = {}
-    occupancy: dict[GridCell, int] = {}
-    for uid, cell in located:
-        by_subsection.setdefault(cell.subsection, []).append((uid, cell))
-        occupancy[cell] = occupancy.get(cell, 0) + 1
-    clusters = []
-    for l in sorted(by_subsection):
-        members = tuple(sorted(by_subsection[l]))
-        shares = {uid: 1.0 / occupancy[cell] for uid, cell in members}
-        clusters.append(Cluster(subsection_id=l, members=members, time_shares=shares))
-    return clusters
+    order = np.lexsort((user_id, subsection, sector))
+    s, l = sector[order], subsection[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (s[1:] != s[:-1]) | (l[1:] != l[:-1])
+    cell = (
+        sector * (np.max(section, initial=0) + 1) + section
+    ) * (np.max(subsection, initial=0) + 1) + subsection
+    return Clustering(
+        order=order,
+        starts=np.append(np.flatnonzero(first), len(order)),
+        time_share=1.0 / np.bincount(cell)[cell],
+        cluster_ids=tuple(np.flatnonzero(np.bincount(subsection)).tolist()),
+    )
 
 
-def assign_resource_blocks(clusters: Sequence[Cluster], nbr: int, r: int) -> ResourcePlan:
+def assign_resource_blocks(
+    cluster_ids: Sequence[int], nbr: int, r: int
+) -> ResourcePlan:
     """Blocks {(l-1)*r .. l*r - 1} mod nbr for cluster l.
 
     Disjoint across clusters when L * r <= nbr; otherwise the modulo wraps
@@ -104,32 +115,25 @@ def assign_resource_blocks(clusters: Sequence[Cluster], nbr: int, r: int) -> Res
         raise ValueError("nbr must be >= 1")
     if not 1 <= r <= nbr:
         raise ValueError(f"r={r} outside 1..nbr={nbr}")
-    blocks = {}
-    for cluster in clusters:
-        l = cluster.subsection_id
-        blocks[l] = tuple(((l - 1) * r + k) % nbr for k in range(r))
-    reuse = max((c.subsection_id for c in clusters), default=0) * r > nbr
+    blocks = {l: tuple(((l - 1) * r + k) % nbr for k in range(r)) for l in cluster_ids}
+    reuse = max(cluster_ids, default=0) * r > nbr
     return ResourcePlan(rb_per_user=r, total_rb=nbr, cluster_blocks=blocks, reuse=reuse)
 
 
-def _floor_coefficients(
-    gains: Mapping[int, float], rho: float, qos: QoSSpec
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Sorted user ids, their gains, and Omega_min = (2^r_min - 1) / (rho * g)."""
-    uids = sorted(gains)
-    g = np.fromiter(map(gains.__getitem__, uids), float, len(uids))
+def _floor_coefficients(gains: np.ndarray, rho: float, qos: QoSSpec) -> np.ndarray:
+    """Omega_min = (2^r_min - 1) / (rho * g) per user."""
     with np.errstate(divide="ignore"):
-        return uids, g, (2.0 ** qos.r_min - 1.0) / (rho * g)
+        return (2.0 ** qos.r_min - 1.0) / (rho * gains)
 
 
 def min_power_coefficients(
-    gains: Mapping[int, float],
+    gains: np.ndarray,
     rho: float,
     qos: QoSSpec,
     p_max: float,
     p_total: float,
-) -> dict[int, float]:
-    """Omega_min = (2^r_min - 1) / (rho * g) per user.
+) -> np.ndarray:
+    """Omega_min = (2^r_min - 1) / (rho * g) per user, in the gains' order.
 
     Raises PowerBudgetError when even these floors break the budget.
     """
@@ -137,30 +141,29 @@ def min_power_coefficients(
         raise ValueError("rho must be > 0")
     if p_max <= 0 or p_total <= 0:
         raise ValueError("power levels must be > 0")
-    uids, g, floors = _floor_coefficients(gains, rho, qos)
-    bad = np.flatnonzero(g <= 0)
+    floors = _floor_coefficients(gains, rho, qos)
+    bad = np.flatnonzero(gains <= 0)
     if len(bad):
-        raise ValueError(f"user {uids[bad[0]]} has non-positive gain {g[bad[0]]}")
-    omega = dict(zip(uids, floors.tolist()))
-    margin = p_max * sum(omega.values()) - p_total
+        raise ValueError(f"user {bad[0]} has non-positive gain {gains[bad[0]]}")
+    margin = p_max * sum(floors.tolist()) - p_total
     if margin > 0:
         raise PowerBudgetError(margin)
-    return omega
+    return floors
 
 
 def scaled_min_power(
-    gains: Mapping[int, float], rho: float, qos: QoSSpec, p_max: float, p_total: float
+    gains: np.ndarray, rho: float, qos: QoSSpec, p_max: float, p_total: float
 ) -> PowerAllocation:
     """Best-effort fallback when the QoS floors are infeasible.
 
     Scales every Omega_min by the same factor so the budget is met exactly;
     all users then see equal SINR below the floor. Flagged, never raised.
     """
-    uids, _g, floors = _floor_coefficients(gains, rho, qos)
+    floors = _floor_coefficients(gains, rho, qos)
     total = p_max * sum(floors.tolist())
     scale = min(1.0, p_total / total) if total > 0 else 1.0
     return PowerAllocation(
-        omega=dict(zip(uids, (floors * scale).tolist())),
+        omega=floors * scale,
         p_max=p_max,
         p_total=p_total,
         qos_feasible=scale >= 1.0,
@@ -209,8 +212,8 @@ def _key_bands(key0: np.ndarray, counts: np.ndarray, growth: float):
 
 
 def fill_remaining_power(
-    omega_min: Mapping[int, float],
-    gains: Mapping[int, float],
+    omega_min: np.ndarray,
+    gains: np.ndarray,
     rho: float,
     p_max: float,
     p_total: float,
@@ -221,10 +224,11 @@ def fill_remaining_power(
     Raising a user from rate R to R + delta_r costs
         delta_p = step * key,  key = p_max * 2^R / (rho * g),
     with step = 2^delta_r - 1, and a grant multiplies the user's key by
-    2^delta_r. The greedy rule grants the cheapest step (ties by user id)
-    until the leftover no longer covers it; that user then absorbs the
-    leftover as a partial grant. A user's keys only grow, so the grants
-    come in ascending (key, user id) order over all (user, step) pairs,
+    2^delta_r. The greedy rule grants the cheapest step (ties by position,
+    which is user-id order) until the leftover no longer covers it; that
+    user then absorbs the leftover as a partial grant. A user's keys only
+    grow, so the grants come in ascending (key, position) order over all
+    (user, step) pairs,
     and the fill replays that order in closed form, bit for bit equal to
     a heap loop (tests/test_allocation.py keeps that loop as the oracle):
 
@@ -239,7 +243,7 @@ def fill_remaining_power(
       steps grow and the leftover shrinks;
     * each user's omega adds its granted steps in order, again by a
       sequential add.accumulate; tied keys at the stop are granted in
-      user-id order, and the next user in that order takes the partial
+      position order, and the next user in that order takes the partial
       grant.
 
     Should the stop fall beyond the built keys, the level doubles and the
@@ -247,7 +251,8 @@ def fill_remaining_power(
     steps or keys that are not finite and positive, where a heap loop
     would grant forever.
     """
-    start = [float(w) for w in omega_min.values()]
+    omega = np.array(omega_min, dtype=float)
+    start = omega.tolist()
     p_rem = p_total - p_max * sum(start)
     if not math.isfinite(p_rem):
         raise ValueError(f"power budget is not finite (leftover {p_rem!r})")
@@ -255,14 +260,10 @@ def fill_remaining_power(
         raise PowerBudgetError(-p_rem)
     n = len(start)
     if n == 0 or p_rem <= 0.0:
-        return PowerAllocation(
-            omega=dict(zip(omega_min, start)), p_max=p_max, p_total=p_total
-        )
+        return PowerAllocation(omega=omega, p_max=p_max, p_total=p_total)
     growth = 2.0 ** qos.delta_r
     step = growth - 1.0
-    key0 = (p_max * 2.0 ** qos.r_min) / (
-        rho * np.fromiter(map(gains.__getitem__, omega_min), float, n)
-    )
+    key0 = (p_max * 2.0 ** qos.r_min) / (rho * gains)
     if not step > 0.0 or not np.all((key0 > 0.0) & (key0 < math.inf)):
         raise ValueError("greedy steps need finite positive costs")
 
@@ -301,7 +302,6 @@ def fill_remaining_power(
     tied_granted = lo - int(np.searchsorted(keys, stop_key, side="left"))
     del keys, rem
 
-    omega = np.array(start)
     granted = np.empty(n)  # omega after the steps below the stop key
     granted_tie = np.empty(n)  # ... and after a step at the stop key
     tied = np.zeros(n, dtype=bool)
@@ -317,12 +317,8 @@ def fill_remaining_power(
         granted[rows] = acc[at, below]
         granted_tie[rows] = acc[at, np.minimum(below + 1, band.shape[1])]
     tie_rows = np.flatnonzero(tied)
-    uid = np.fromiter(omega_min, dtype=np.int64, count=n)[tie_rows]
-    tie_rows = tie_rows[np.argsort(uid, kind="stable")]
     first = tie_rows[:tied_granted]
     granted[first] = granted_tie[first]
     if left > 0:
         granted[tie_rows[tied_granted]] += left / p_max  # final partial grant
-    return PowerAllocation(
-        omega=dict(zip(omega_min, granted.tolist())), p_max=p_max, p_total=p_total
-    )
+    return PowerAllocation(omega=granted, p_max=p_max, p_total=p_total)

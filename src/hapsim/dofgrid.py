@@ -11,6 +11,7 @@ share resource blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +58,7 @@ class SubsectionGrid:
     delta_h: float    # 2 / (m_y * per_axis)
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """1-based (sector, section, subsection) address of one user."""
 
     sector: int

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -19,13 +20,13 @@ import numpy as np
 
 from .allocation import (
     PowerBudgetError,
-    cluster_users,
+    ResourcePlan,
     assign_resource_blocks,
+    cluster_users,
     fill_remaining_power,
     min_power_coefficients,
     scaled_min_power,
 )
-from .allocation import ResourcePlan
 from .channel import (
     ChannelStats,
     correlation_matrices,
@@ -44,7 +45,7 @@ from .geometry import (
 )
 from .rate import (
     InterferenceMap,
-    ServedUser,
+    UserCell,
     build_cluster_precoders,
     build_interference_map,
     evaluate_objective,
@@ -66,21 +67,30 @@ def figure_r_values(cfg: ScenarioConfig) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TrialState:
-    """Power-independent part of one trial."""
+    """Power-independent part of one trial.
+
+    Per-user arrays are in user-id order; interference.order is the
+    permutation to the interference map's evaluation order.
+    """
 
     cfg: ScenarioConfig
     trial: int
-    users: tuple[ServedUser, ...]  # in user-id order
+    user_id: np.ndarray
+    sector: np.ndarray
+    section: np.ndarray
+    subsection: np.ndarray
+    time_share: np.ndarray
+    # allocator gain: the transmitter only knows channel statistics, so
+    # QoS is budgeted on the deterministic matched-beam direct-path gain
+    # |mean^H v|^2 = beta_los, not on the realized fade
+    gain: np.ndarray
+    channels: np.ndarray  # (N, M)
     plan: ResourcePlan
-    gains: dict[int, float]
     unserved: int
     interference: InterferenceMap
-    # the users' row heads in user-id order, and their positions in the
-    # interference map's evaluation order: rows need no per-user lookups
-    user_ids: tuple[int, ...]
-    cells: tuple[GridCell, ...]
-    time_shares: tuple[float, ...]
-    uid_order: np.ndarray
+    # the (user id, cell) records evaluate_objective takes, one tuple per
+    # trial
+    users: tuple[UserCell, ...]
 
 
 class UserRow(NamedTuple):
@@ -105,7 +115,17 @@ class TrialRecord:
     qos_margin_model: float
     qos_margin_realized: float
     unserved: int
-    users: tuple[UserRow, ...]
+    # user id, sector, section, subsection, time share, omega, sinr,
+    # spectral efficiency and rate, each in user-id order
+    columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def users(self) -> tuple[UserRow, ...]:
+        """One row per user, built when first read."""
+        uid, sector, section, subsection, *rest = (c.tolist() for c in self.columns)
+        return tuple(map(
+            UserRow, uid, map(GridCell, sector, section, subsection), *rest
+        ))
 
 
 @dataclass(frozen=True)
@@ -254,48 +274,31 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
         rng,
     )
 
-    ids = served.user_id.tolist()
-    cells = tuple(map(
-        GridCell,
-        served.sector.tolist(), served.section.tolist(), served.subsection.tolist(),
-    ))
-    clusters = cluster_users(list(zip(ids, cells)))
-    shares: dict[int, float] = {}
-    for cl in clusters:
-        shares.update(cl.time_shares)
-    plan = assign_resource_blocks(clusters, cfg.nbr, cfg.r)
-
-    time_shares = tuple(map(shares.__getitem__, ids))
-    users = tuple(map(
-        ServedUser,
-        ids,
-        cells,
-        map(
-            AngularCoordinates,
-            angles.azimuth.tolist(), angles.elevation.tolist(),
-            angles.mu_phi.tolist(), angles.mu_h.tolist(),
-        ),
-        channels,
-        time_shares,
-    ))
+    groups = cluster_users(
+        served.user_id, served.sector, served.section, served.subsection
+    )
+    plan = assign_resource_blocks(groups.cluster_ids, cfg.nbr, cfg.r)
     interference = build_interference_map(
-        users, plan, build_cluster_precoders(users, acfg)
+        groups, served.sector, served.section, served.subsection, channels, plan,
+        build_cluster_precoders(angles.mu_phi, angles.mu_h, groups.order, acfg),
     )
     return TrialState(
         cfg=cfg,
         trial=trial,
-        users=users,
+        user_id=served.user_id,
+        sector=served.sector,
+        section=served.section,
+        subsection=served.subsection,
+        time_share=groups.time_share,
+        gain=fading.beta_los,
+        channels=channels,
         plan=plan,
-        # allocator gain: the transmitter only knows channel statistics, so
-        # QoS is budgeted on the deterministic matched-beam direct-path gain
-        # |mean^H v|^2 = beta_los, not on the realized fade
-        gains=dict(zip(ids, fading.beta_los.tolist())),
         unserved=unserved,
         interference=interference,
-        user_ids=tuple(ids),
-        cells=cells,
-        time_shares=time_shares,
-        uid_order=np.argsort(np.array(interference.user_ids, dtype=np.int64)),
+        users=tuple(map(UserCell, served.user_id.tolist(), map(
+            GridCell,
+            served.sector.tolist(), served.section.tolist(), served.subsection.tolist(),
+        ))),
     )
 
 
@@ -305,27 +308,20 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
     rho = cfg.rho(p_max)
     qos = cfg.qos()
     try:
-        omega_min = min_power_coefficients(state.gains, rho, qos, p_max, p_total)
+        omega_min = min_power_coefficients(state.gain, rho, qos, p_max, p_total)
         power = fill_remaining_power(
-            omega_min, state.gains, rho, p_max, p_total, qos
+            omega_min, state.gain, rho, p_max, p_total, qos
         )
     except PowerBudgetError:
-        power = scaled_min_power(state.gains, rho, qos, p_max, p_total)
+        power = scaled_min_power(state.gain, rho, qos, p_max, p_total)
     report, constraints = evaluate_objective(
         state.users, state.plan, power, qos, rho, cfg.bw_rb,
-        state.gains, state.interference,
+        state.gain, state.interference,
     )
-    order = state.uid_order
-    rows = tuple(map(
-        UserRow,
-        state.user_ids,
-        state.cells,
-        state.time_shares,
-        map(power.omega.__getitem__, state.user_ids),
-        report.sinr[order].tolist(),
-        report.spectral_efficiency[order].tolist(),
-        report.rates[order].tolist(),
-    ))
+    scored = np.empty((3, len(state.user_id)))  # back to user-id order
+    scored[:, state.interference.order] = (
+        report.sinr, report.spectral_efficiency, report.rates
+    )
     return TrialRecord(
         trial=state.trial,
         sum_rate_bps=report.sum_rate,
@@ -334,7 +330,10 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         qos_margin_model=constraints.qos_margin_model,
         qos_margin_realized=constraints.qos_margin_realized,
         unserved=state.unserved,
-        users=rows,
+        columns=(
+            state.user_id, state.sector, state.section, state.subsection,
+            state.time_share, power.omega, *scored,
+        ),
     )
 
 

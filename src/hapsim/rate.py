@@ -16,25 +16,21 @@ Noise is normalized to 1, so with rho = p_max / (N0 * r * bw_rb):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import PowerAllocation, QoSSpec, ResourcePlan
+from .allocation import Clustering, PowerAllocation, QoSSpec, ResourcePlan
 from .channel import composite_steering
 from .dofgrid import GridCell
-from .geometry import AngularCoordinates, ArrayConfig
+from .geometry import ArrayConfig
 
 
-@dataclass(frozen=True)
-class ServedUser:
-    """Everything the rate evaluator needs to know about one scheduled user."""
+class UserCell(NamedTuple):
+    """A scheduled user's id and grid cell."""
 
     user_id: int
     cell: GridCell
-    angles: AngularCoordinates
-    channel: np.ndarray
-    time_share: float
 
 
 @dataclass(frozen=True)
@@ -55,36 +51,17 @@ class ConstraintReport:
     qos_feasible: bool
 
 
-def _group_members(users: Sequence[ServedUser]) -> dict[tuple[int, int], list[int]]:
-    """Positions in users per (sector, cluster) group, in first-seen group
-    order, members ordered by user id."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, u in enumerate(users):
-        groups.setdefault((u.cell.sector, u.cell.subsection), []).append(i)
-    for idx in groups.values():
-        idx.sort(key=lambda i: users[i].user_id)
-    return groups
-
-
 def build_cluster_precoders(
-    users: Sequence[ServedUser], cfg: ArrayConfig
-) -> dict[tuple[int, int], np.ndarray]:
-    """One precoder per (sector, cluster) group: an (M, n) array whose
-    column k is the unit steering vector of the group's k-th member by
-    user id.
+    mu_phi: np.ndarray, mu_h: np.ndarray, order: np.ndarray, cfg: ArrayConfig
+) -> np.ndarray:
+    """The users' unit steering vectors as rows, in evaluation order.
 
-    Angle-only, so the result can be computed once per trial and reused
-    across power points.
+    A (sector, cluster) group's precoder is its block of rows transposed:
+    column k is the unit steering vector of the group's k-th member by
+    user id. Angle-only, so the result can be computed once per trial and
+    reused across power points.
     """
-    steer = composite_steering(
-        np.array([u.angles.mu_phi for u in users], dtype=float),
-        np.array([u.angles.mu_h for u in users], dtype=float),
-        cfg,
-    )
-    return {
-        key: np.ascontiguousarray(steer[idx].T)
-        for key, idx in _group_members(users).items()
-    }
+    return composite_steering(mu_phi, mu_h, cfg)[order]
 
 
 @dataclass(frozen=True)
@@ -95,7 +72,7 @@ class InterferenceMap:
     order, members by user id; every array below is indexed that way.
     """
 
-    user_ids: tuple[int, ...]
+    order: np.ndarray        # (n,) each row's position in user-id order
     time_share: np.ndarray   # (n,)
     own_gain: np.ndarray     # (n,) |h_u^H p_u|^2
     # same-cluster interference, one entry per interferer count k:
@@ -107,38 +84,35 @@ class InterferenceMap:
 
 
 def build_interference_map(
-    users: Sequence[ServedUser],
+    groups: Clustering,
+    sector: np.ndarray,
+    section: np.ndarray,
+    subsection: np.ndarray,
+    channels: np.ndarray,
     plan: ResourcePlan,
-    precoders: Mapping[tuple[int, int], np.ndarray],
+    precoders: np.ndarray,
 ) -> InterferenceMap:
     """Gains, same-cell masks and block sharing of one trial, power-free.
 
-    A user's same-cluster interferers are the other members of its group
-    outside its own cell. Under reuse, each of its blocks also collects the
-    groups of the same sector whose cluster holds that block.
+    The per-user arrays and the (n, M) channels are in user-id order;
+    groups is their cluster_users result and precoders is
+    build_cluster_precoders'. A user's same-cluster interferers are the
+    other members of its group outside its own cell. Under reuse, each of
+    its blocks also collects the groups of the same sector whose cluster
+    holds that block, in the order of their first members' user ids.
     """
-    groups = _group_members(users)
-    keys = sorted(groups)
-    start: dict[tuple[int, int], int] = {}
-    order: list[int] = []
-    for key in keys:
-        start[key] = len(order)
-        order.extend(groups[key])
-    n = len(order)
-    channels = np.array([u.channel for u in users])
-    section = np.array([u.cell.section for u in users], dtype=int)
-    own_gain = np.empty(n)
+    order, starts = groups.order, groups.starts
+    sizes = np.diff(starts)
+    own_gain = np.empty(len(order))
     parts: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    by_size: dict[int, list[tuple[int, int]]] = {}
-    for key in keys:
-        by_size.setdefault(len(groups[key]), []).append(key)
-    # groups of one size at a time: (groups, size, size) projections
-    for size, ks in by_size.items():
-        members = np.array([groups[k] for k in ks])
-        rows = np.array([start[k] for k in ks])[:, None] + np.arange(size)
-        proj = np.abs(
-            channels[members].conj() @ np.stack([precoders[k] for k in ks])
-        ) ** 2
+    # groups of one size at a time, sizes in order of first appearance:
+    # (groups, size, size) projections
+    for size in dict.fromkeys(sizes.tolist()):
+        rows = starts[np.flatnonzero(sizes == size)][:, None] + np.arange(size)
+        members = order[rows]
+        # each group's (M, size) precoder, contiguous, as one stack
+        stack = np.ascontiguousarray(precoders[rows].transpose(0, 2, 1))
+        proj = np.abs(channels[members].conj() @ stack) ** 2
         own_gain[rows] = np.diagonal(proj, axis1=1, axis2=2)
         # same group, different cell: in one group that means another section
         sec = section[members]
@@ -153,27 +127,36 @@ def build_interference_map(
             )
     wrapped = []
     if plan.reuse:
-        block_groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for key in groups:
-            for b in plan.cluster_blocks[key[1]]:
-                block_groups.setdefault((key[0], b), []).append(key)
-        for key in keys:
-            for pos, b in enumerate(plan.cluster_blocks[key[1]]):
-                others = [o for o in block_groups[(key[0], b)] if o != key]
+        first = order[starts[:-1]]  # each group's first member
+        group_sector = sector[first].tolist()
+        group_cluster = subsection[first].tolist()
+        holders: dict[tuple[int, int], list[int]] = {}
+        for g in np.argsort(first).tolist():
+            for b in plan.cluster_blocks[group_cluster[g]]:
+                holders.setdefault((group_sector[g], b), []).append(g)
+        columns: dict[int, np.ndarray] = {}
+        for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
+            for pos, b in enumerate(plan.cluster_blocks[l]):
+                others = [o for o in holders[(s, b)] if o != g]
                 if not others:
                     continue
-                for a, i in enumerate(groups[key]):
-                    h_conj = users[i].channel.conj()
-                    wrapped.append((start[key] + a, pos, tuple(
+                for o in others:
+                    if o not in columns:
+                        columns[o] = np.ascontiguousarray(
+                            precoders[starts[o]:starts[o + 1]].T
+                        )
+                for row in range(starts[g], starts[g + 1]):
+                    h_conj = channels[order[row]].conj()
+                    wrapped.append((row, pos, tuple(
                         (
-                            slice(start[o], start[o] + len(groups[o])),
-                            np.abs(h_conj @ precoders[o]) ** 2,
+                            slice(starts[o], starts[o + 1]),
+                            np.abs(h_conj @ columns[o]) ** 2,
                         )
                         for o in others
                     )))
     return InterferenceMap(
-        user_ids=tuple(users[i].user_id for i in order),
-        time_share=np.array([users[i].time_share for i in order], dtype=float),
+        order=order,
+        time_share=groups.time_share[order],
         own_gain=own_gain,
         same_cluster=tuple(
             tuple(np.concatenate(arrays) for arrays in zip(*chunks))
@@ -184,32 +167,33 @@ def build_interference_map(
 
 
 def evaluate_objective(
-    users: Sequence[ServedUser],
+    users: Sequence[UserCell],
     plan: ResourcePlan,
     power: PowerAllocation,
     qos: QoSSpec,
     rho: float,
     bw_rb: float,
-    allocator_gains: Mapping[int, float],
+    allocator_gains: np.ndarray,
     interference: InterferenceMap,
 ) -> tuple[RateReport, ConstraintReport]:
     """Realized rates for a full trial plus constraint margins.
 
-    interference is build_interference_map's result for these users, built
-    once per trial and reused at every power point. Each user is evaluated
+    users holds one record per user (only its length is read), and
+    power.omega and allocator_gains are in user-id order. interference is
+    build_interference_map's result for these users, built once per trial
+    and reused at every power point. Each user is evaluated
     block by block: with disjoint block sets every block of a user sees the
     same interferers; when the plan reuses blocks across clusters the
     wrapped blocks also collect the other cluster's users. The report's
-    arrays follow the map's evaluation order, interference.user_ids.
+    arrays follow the map's evaluation order, interference.order.
     """
     im = interference
-    uids = im.user_ids
-    if len(users) != len(uids):
+    n = len(im.order)
+    if len(users) != n:
         raise ValueError(
-            f"interference map holds {len(uids)} users, trial has {len(users)}"
+            f"interference map holds {n} users, trial has {len(users)}"
         )
-    n = len(uids)
-    omega = np.fromiter(map(power.omega.__getitem__, uids), float, n)
+    omega = power.omega[im.order]
     omega_eff = omega * im.time_share
     own = im.own_gain * omega
     base = np.zeros(n)
@@ -237,8 +221,8 @@ def evaluate_objective(
     sinr = np.array([2.0 ** v - 1.0 for v in se.tolist()])
     sum_rate = float(sum(rate_arr.tolist()))
 
-    if uids:
-        gain = np.fromiter(map(allocator_gains.__getitem__, uids), float, n)
+    if n:
+        gain = allocator_gains[im.order]
         model_margin = float(np.min(np.log2(1.0 + rho * omega * gain) - qos.r_min))
         realized_margin = float(np.min(se - qos.r_min))
     else:

@@ -2,15 +2,21 @@
 
 Each restates a quantity the program computes another way: element
 positions and wave vectors derive the steering phases from first
-principles, correlation_matrix is the single-user covariance, and
-orthogonality_defect is one pairwise steering correlation.
+principles, correlation_matrix is the single-user covariance,
+orthogonality_defect is one pairwise steering correlation, and the
+per-user grouping and interference map restate the array trial state.
 """
+
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from hapsim.channel import correlation_matrices
-from hapsim.dofgrid import steering_correlation
+from hapsim.allocation import assign_resource_blocks, cluster_users
+from hapsim.channel import composite_steering, correlation_matrices
+from hapsim.dofgrid import GridCell, steering_correlation
 from hapsim.geometry import AngularCoordinates, ArrayConfig
+from hapsim.rate import build_cluster_precoders, build_interference_map
 
 
 def element_position(m: int, cfg: ArrayConfig) -> np.ndarray:
@@ -68,3 +74,189 @@ def orthogonality_defect(
             angles_i.mu_phi - angles_k.mu_phi, angles_i.mu_h - angles_k.mu_h, cfg
         )
     )
+
+
+# -- per-user grouping and interference map ------------------------------------
+#
+# The dict-based forms that allocation.cluster_users and
+# rate.build_interference_map replaced. They group through dicts keyed by
+# cells and (sector, cluster) pairs and build the map one user at a time;
+# the array forms must equal them exactly.
+
+
+@dataclass(frozen=True)
+class ServedUser:
+    """One scheduled user, as the per-user forms take it."""
+
+    user_id: int
+    cell: GridCell
+    mu_phi: float
+    mu_h: float
+    channel: np.ndarray
+    time_share: float = 1.0
+
+
+@dataclass(frozen=True)
+class Cluster:
+    """All users of one subsection index, with per-user time shares."""
+
+    subsection_id: int
+    members: tuple[tuple[int, GridCell], ...]  # (user id, cell), sorted by id
+    time_shares: dict[int, float]
+
+
+def cluster_users_ref(located):
+    """Group (user id, cell) pairs into clusters by subsection index;
+    members of one cell split its airtime equally. Sorted by subsection
+    id, members by user id."""
+    by_subsection = {}
+    occupancy = {}
+    for uid, cell in located:
+        by_subsection.setdefault(cell.subsection, []).append((uid, cell))
+        occupancy[cell] = occupancy.get(cell, 0) + 1
+    clusters = []
+    for l in sorted(by_subsection):
+        members = tuple(sorted(by_subsection[l]))
+        shares = {uid: 1.0 / occupancy[cell] for uid, cell in members}
+        clusters.append(Cluster(subsection_id=l, members=members, time_shares=shares))
+    return clusters
+
+
+def group_members_ref(users):
+    """Positions in users per (sector, cluster) group, in first-seen group
+    order, members ordered by user id."""
+    groups = {}
+    for i, u in enumerate(users):
+        groups.setdefault((u.cell.sector, u.cell.subsection), []).append(i)
+    for idx in groups.values():
+        idx.sort(key=lambda i: users[i].user_id)
+    return groups
+
+
+def cluster_precoders_ref(users, cfg):
+    """(sector, cluster) -> (M, n) precoder, column k the unit steering
+    vector of the group's k-th member by user id."""
+    steer = composite_steering(
+        np.array([u.mu_phi for u in users], dtype=float),
+        np.array([u.mu_h for u in users], dtype=float),
+        cfg,
+    )
+    return {
+        key: np.ascontiguousarray(steer[idx].T)
+        for key, idx in group_members_ref(users).items()
+    }
+
+
+def interference_map_ref(users, plan, precoders):
+    """The interference map built group by group and user by user:
+    user_ids, time_share, own_gain, same_cluster and wrapped, with
+    InterferenceMap's layout."""
+    groups = group_members_ref(users)
+    keys = sorted(groups)
+    start = {}
+    order = []
+    for key in keys:
+        start[key] = len(order)
+        order.extend(groups[key])
+    n = len(order)
+    channels = np.array([u.channel for u in users])
+    section = np.array([u.cell.section for u in users], dtype=int)
+    own_gain = np.empty(n)
+    parts = {}
+    by_size = {}
+    for key in keys:
+        by_size.setdefault(len(groups[key]), []).append(key)
+    for size, ks in by_size.items():
+        members = np.array([groups[k] for k in ks])
+        rows = np.array([start[k] for k in ks])[:, None] + np.arange(size)
+        proj = np.abs(
+            channels[members].conj() @ np.stack([precoders[k] for k in ks])
+        ) ** 2
+        own_gain[rows] = np.diagonal(proj, axis1=1, axis2=2)
+        sec = section[members]
+        mask = sec[:, :, None] != sec[:, None, :]
+        counts = mask.sum(axis=2)
+        for k in sorted(set(counts[counts > 0].tolist())):
+            g, a = np.nonzero(counts == k)
+            b = np.nonzero(mask[g, a])[1].reshape(-1, k)
+            parts.setdefault(k, []).append(
+                (rows[g, a], rows[g[:, None], b], proj[g[:, None], a[:, None], b])
+            )
+    wrapped = []
+    if plan.reuse:
+        block_groups = {}
+        for key in groups:
+            for b in plan.cluster_blocks[key[1]]:
+                block_groups.setdefault((key[0], b), []).append(key)
+        for key in keys:
+            for pos, b in enumerate(plan.cluster_blocks[key[1]]):
+                others = [o for o in block_groups[(key[0], b)] if o != key]
+                if not others:
+                    continue
+                for a, i in enumerate(groups[key]):
+                    h_conj = users[i].channel.conj()
+                    wrapped.append((start[key] + a, pos, tuple(
+                        (
+                            slice(start[o], start[o] + len(groups[o])),
+                            np.abs(h_conj @ precoders[o]) ** 2,
+                        )
+                        for o in others
+                    )))
+    return SimpleNamespace(
+        user_ids=tuple(users[i].user_id for i in order),
+        time_share=np.array([users[i].time_share for i in order], dtype=float),
+        own_gain=own_gain,
+        same_cluster=tuple(
+            tuple(np.concatenate(arrays) for arrays in zip(*chunks))
+            for chunks in parts.values()
+        ),
+        wrapped=tuple(wrapped),
+    )
+
+
+def user_arrays(users):
+    """The users' ids, sectors, sections, subsections, mu coordinates and
+    channels as arrays, in the order given."""
+    column = lambda f: np.array([f(u) for u in users], dtype=np.int64)
+    return SimpleNamespace(
+        user_id=column(lambda u: u.user_id),
+        sector=column(lambda u: u.cell.sector),
+        section=column(lambda u: u.cell.section),
+        subsection=column(lambda u: u.cell.subsection),
+        mu_phi=np.array([u.mu_phi for u in users], dtype=float),
+        mu_h=np.array([u.mu_h for u in users], dtype=float),
+        channels=(
+            np.array([u.channel for u in users]) if users else np.zeros((0, 0), complex)
+        ),
+    )
+
+
+def trial_users(state, seed):
+    """A prepared trial's users as per-user records, in user-id order; the
+    mu coordinates come from placing the trial's users again."""
+    from hapsim.harness import place_and_cluster
+
+    served, _unserved, _rng = place_and_cluster(state.cfg, seed, state.trial)
+    assert np.array_equal(served.user_id, state.user_id)
+    return [
+        ServedUser(uid, GridCell(*cell), mu_phi, mu_h, channel, share)
+        for uid, *cell, mu_phi, mu_h, channel, share in zip(
+            state.user_id.tolist(), state.sector.tolist(), state.section.tolist(),
+            state.subsection.tolist(), served.angles.mu_phi.tolist(),
+            served.angles.mu_h.tolist(), state.channels, state.time_share.tolist(),
+        )
+    ]
+
+
+def array_trial(users, nbr, r, cfg):
+    """The array pipeline on per-user records: (arrays, clustering, plan,
+    interference map), arrays in user-id order as prepare_trial holds
+    them."""
+    u = user_arrays(sorted(users, key=lambda v: v.user_id))
+    groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
+    plan = assign_resource_blocks(groups.cluster_ids, nbr, r)
+    precoders = build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, cfg)
+    im = build_interference_map(
+        groups, u.sector, u.section, u.subsection, u.channels, plan, precoders
+    )
+    return u, groups, plan, im

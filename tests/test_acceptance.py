@@ -236,15 +236,17 @@ def test_05_power_fill_matches_grid_search():
         p = float(10.0 ** rng.uniform(-0.5, 1.0))
         floor_fraction = float(rng.uniform(0.3, 0.9))
         rho = need * sum(1.0 / v for v in gains.values()) / floor_fraction
-        omega_min = min_power_coefficients(gains, rho, qos, p, p)
-        alloc = fill_remaining_power(omega_min, gains, rho, p, p, qos)
+        g = np.array([gains[u] for u in sorted(gains)])  # user-id order
+        omega_min = min_power_coefficients(g, rho, qos, p, p)
+        alloc = fill_remaining_power(omega_min, g, rho, p, p, qos)
         # constraints hold exactly: budget, floors, nonnegativity
         assert alloc.spent <= p * (1.0 + 1e-12)
         assert alloc.qos_feasible
-        for uid, w in alloc.omega.items():
-            assert w >= omega_min[uid] * (1.0 - 1e-12) >= 0.0
+        for w, w_min in zip(alloc.omega.tolist(), omega_min.tolist()):
+            assert w >= w_min * (1.0 - 1e-12) >= 0.0
         achieved = sum(
-            math.log2(1.0 + rho * gains[u] * w) for u, w in alloc.omega.items()
+            math.log2(1.0 + rho * gu * w)
+            for gu, w in zip(g.tolist(), alloc.omega.tolist())
         )
         best = grid_search_objective(gains, rho, qos)
         worst_ratio = min(worst_ratio, achieved / best)

@@ -28,22 +28,43 @@ def cell(sector=1, section=1, subsection=1):
     return GridCell(sector=sector, section=section, subsection=subsection)
 
 
+def clustered(located):
+    """cluster_users on (user id, cell) pairs, given in that order."""
+    column = lambda f: np.array([f(uid, c) for uid, c in located], dtype=np.int64)
+    return cluster_users(
+        column(lambda uid, c: uid), column(lambda uid, c: c.sector),
+        column(lambda uid, c: c.section), column(lambda uid, c: c.subsection),
+    )
+
+
+def as_array(by_id):
+    """Per-user values keyed by user id as an array in user-id order."""
+    return np.array([by_id[u] for u in sorted(by_id)], dtype=float)
+
+
+def by_id(ids, values):
+    """An array in user-id order keyed by the sorted ids."""
+    return dict(zip(sorted(ids), values.tolist()))
+
+
 class TestClusterUsers:
     def test_single_cluster_distinct_cells(self):
         located = [(i, cell(section=i + 1, subsection=3)) for i in range(4)]
-        clusters = cluster_users(located)
-        assert len(clusters) == 1
-        assert clusters[0].subsection_id == 3
-        assert all(ts == 1.0 for ts in clusters[0].time_shares.values())
+        groups = clustered(located)
+        assert groups.cluster_ids == (3,)
+        assert groups.starts.tolist() == [0, 4]
+        assert groups.time_share.tolist() == [1.0] * 4
 
     def test_colocated_users_split_time(self):
         located = [(7, cell()), (9, cell())]
-        clusters = cluster_users(located)
-        assert len(clusters) == 1
-        assert clusters[0].time_shares == {7: 0.5, 9: 0.5}
+        groups = clustered(located)
+        assert groups.cluster_ids == (1,)
+        assert by_id([7, 9], groups.time_share) == {7: 0.5, 9: 0.5}
 
     def test_empty(self):
-        assert cluster_users([]) == []
+        groups = clustered([])
+        assert groups.cluster_ids == ()
+        assert len(groups.order) == 0 and groups.starts.tolist() == [0]
 
     def test_idempotent_partition(self):
         located = [
@@ -52,11 +73,18 @@ class TestClusterUsers:
             (2, cell(section=1, subsection=5)),
             (3, cell(section=1, subsection=5)),
         ]
-        once = cluster_users(located)
-        again = cluster_users([(uid, c) for cl in once for uid, c in cl.members])
-        assert [(c.subsection_id, c.members) for c in once] == [
-            (c.subsection_id, c.members) for c in again
-        ]
+        once = clustered(located)
+        again = clustered([located[i] for i in once.order.tolist()])
+
+        def partition(groups, pairs):
+            ids = [pairs[i][0] for i in groups.order.tolist()]
+            bounds = groups.starts.tolist()
+            return [ids[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        ordered = [located[i] for i in once.order.tolist()]
+        assert partition(once, located) == partition(again, ordered)
+        assert once.cluster_ids == again.cluster_ids == (2, 5)
+        assert again.order.tolist() == [0, 1, 2, 3]
 
     @given(
         cells=st.lists(
@@ -68,33 +96,30 @@ class TestClusterUsers:
     @settings(**SETTINGS)
     def test_time_shares_sum_per_cell(self, cells):
         located = [(i, cell(*c)) for i, c in enumerate(cells)]
-        clusters = cluster_users(located)
+        groups = clustered(located)
         totals = {}
-        for cl in clusters:
-            for uid, c in cl.members:
-                totals[c] = totals.get(c, 0.0) + cl.time_shares[uid]
+        for (uid, c), share in zip(located, groups.time_share.tolist()):
+            totals[c] = totals.get(c, 0.0) + share
         assert all(t == pytest.approx(1.0) for t in totals.values())
-        ids = sorted(uid for cl in clusters for uid, _ in cl.members)
-        assert ids == list(range(len(cells)))
+        assert sorted(groups.order.tolist()) == list(range(len(cells)))
 
 
 class TestResourceBlocks:
     def test_first_cluster(self):
-        clusters = cluster_users([(0, cell(subsection=1))])
-        plan = assign_resource_blocks(clusters, 50, 2)
+        plan = assign_resource_blocks(clustered([(0, cell(subsection=1))]).cluster_ids, 50, 2)
         assert plan.cluster_blocks[1] == (0, 1)
         assert not plan.reuse
 
     def test_full_grid_uses_all_blocks(self):
         located = [(l, cell(section=1, subsection=l)) for l in range(1, 26)]
-        plan = assign_resource_blocks(cluster_users(located), 50, 2)
+        plan = assign_resource_blocks(clustered(located).cluster_ids, 50, 2)
         used = sorted(b for blocks in plan.cluster_blocks.values() for b in blocks)
         assert used == list(range(50))
         assert not plan.reuse
 
     def test_modulo_wrap_flags_reuse(self):
         located = [(l, cell(section=1, subsection=l)) for l in range(1, 37)]
-        plan = assign_resource_blocks(cluster_users(located), 100, 3)
+        plan = assign_resource_blocks(clustered(located).cluster_ids, 100, 3)
         assert plan.reuse
         assert plan.cluster_blocks[34] == (99, 0, 1)
         assert plan.cluster_blocks[36] == (5, 6, 7)
@@ -109,26 +134,26 @@ class TestResourceBlocks:
 class TestMinPower:
     def test_zero_floor(self):
         qos = QoSSpec(r_min=0.0)
-        omega = min_power_coefficients({0: 1.0, 1: 2.0}, 1.0, qos, 1.0, 1.0)
-        assert omega == {0: 0.0, 1: 0.0}
+        omega = min_power_coefficients(np.array([1.0, 2.0]), 1.0, qos, 1.0, 1.0)
+        assert omega.tolist() == [0.0, 0.0]
 
     def test_unit_case(self):
-        omega = min_power_coefficients({0: 1.0}, 1.0, QoSSpec(r_min=1.0), 10.0, 10.0)
+        omega = min_power_coefficients(np.array([1.0]), 1.0, QoSSpec(r_min=1.0), 10.0, 10.0)
         assert omega[0] == pytest.approx(1.0)
 
     def test_two_users(self):
         omega = min_power_coefficients(
-            {0: 2.0, 1: 4.0}, 1.0, QoSSpec(r_min=1.0), 1.0, 10.0
+            np.array([2.0, 4.0]), 1.0, QoSSpec(r_min=1.0), 1.0, 10.0
         )
-        assert omega == pytest.approx({0: 0.5, 1: 0.25})
+        assert omega.tolist() == pytest.approx([0.5, 0.25])
 
     def test_infeasible_raises_with_margin(self):
         with pytest.raises(PowerBudgetError) as err:
-            min_power_coefficients({0: 1.0, 1: 1.0}, 1.0, QoSSpec(r_min=1.0), 1.0, 1.5)
+            min_power_coefficients(np.array([1.0, 1.0]), 1.0, QoSSpec(r_min=1.0), 1.0, 1.5)
         assert err.value.margin == pytest.approx(0.5)
 
     def test_scaled_fallback(self):
-        alloc = scaled_min_power({0: 1.0, 1: 1.0}, 1.0, QoSSpec(r_min=1.0), 1.0, 1.5)
+        alloc = scaled_min_power(np.array([1.0, 1.0]), 1.0, QoSSpec(r_min=1.0), 1.0, 1.5)
         assert not alloc.qos_feasible
         assert alloc.spent == pytest.approx(1.5)
         # equal model SINR across users after scaling
@@ -158,15 +183,15 @@ class TestFillRemainingPower:
     def test_no_leftover_returns_floors(self):
         gains = {0: 1.0, 1: 0.5}
         qos = QoSSpec(r_min=1.0)
-        omega_min = min_power_coefficients(gains, 1.0, qos, 1.0, 3.0)
-        alloc = fill_remaining_power(omega_min, gains, 1.0, 1.0, 3.0, qos)
-        assert alloc.omega == pytest.approx(omega_min)
+        omega_min = min_power_coefficients(as_array(gains), 1.0, qos, 1.0, 3.0)
+        alloc = fill_remaining_power(omega_min, as_array(gains), 1.0, 1.0, 3.0, qos)
+        assert alloc.omega.tolist() == pytest.approx(omega_min.tolist())
 
     def test_single_user_gets_everything(self):
         gains = {0: 2.0}
         qos = QoSSpec(r_min=1.0)
-        omega_min = min_power_coefficients(gains, 1.0, qos, 1.0, 5.0)
-        alloc = fill_remaining_power(omega_min, gains, 1.0, 1.0, 5.0, qos)
+        omega_min = min_power_coefficients(as_array(gains), 1.0, qos, 1.0, 5.0)
+        alloc = fill_remaining_power(omega_min, as_array(gains), 1.0, 1.0, 5.0, qos)
         assert alloc.spent == pytest.approx(5.0)
 
     def test_against_grid_oracle(self):
@@ -174,10 +199,10 @@ class TestFillRemainingPower:
         gains = {0: 1.0, 1: 0.25}
         rho, p_max, p_total = 10.0, 4.0, 4.0
         qos = QoSSpec(r_min=1.0, delta_r=0.05)
-        omega_min = min_power_coefficients(gains, rho, qos, p_max, p_total)
-        alloc = fill_remaining_power(omega_min, gains, rho, p_max, p_total, qos)
+        omega_min = min_power_coefficients(as_array(gains), rho, qos, p_max, p_total)
+        alloc = fill_remaining_power(omega_min, as_array(gains), rho, p_max, p_total, qos)
         achieved = sum(
-            np.log2(1 + rho * gains[u] * w) for u, w in alloc.omega.items()
+            np.log2(1 + rho * gains[u] * w) for u, w in by_id(gains, alloc.omega).items()
         )
         oracle = grid_search_best(gains, rho, qos, p_max, p_total)
         assert achieved >= 0.98 * oracle
@@ -198,10 +223,10 @@ class TestFillRemainingPower:
             (2.0 ** qos.r_min - 1.0) / (rho * g) for g in gains.values()
         )
         p_total = floor_power * headroom
-        omega_min = min_power_coefficients(gains, rho, qos, p_max, p_total)
-        alloc = fill_remaining_power(omega_min, gains, rho, p_max, p_total, qos)
+        omega_min = min_power_coefficients(as_array(gains), rho, qos, p_max, p_total)
+        alloc = fill_remaining_power(omega_min, as_array(gains), rho, p_max, p_total, qos)
         assert alloc.spent <= p_total + 1e-9
-        for uid, w in alloc.omega.items():
+        for uid, w in by_id(gains, alloc.omega).items():
             assert w >= omega_min[uid] - 1e-12
             se = np.log2(1 + rho * gains[uid] * w)
             assert se >= qos.r_min - 1e-9
@@ -216,9 +241,10 @@ class TestFillRemainingPower:
         floor_power = sum((2.0 ** qos.r_min - 1.0) / (rho * g) for g in gains.values())
 
         def model_sum(p_total):
-            omega_min = min_power_coefficients(gains, rho, qos, p_max, p_total)
-            alloc = fill_remaining_power(omega_min, gains, rho, p_max, p_total, qos)
-            return sum(np.log2(1 + rho * gains[u] * w) for u, w in alloc.omega.items())
+            omega_min = min_power_coefficients(as_array(gains), rho, qos, p_max, p_total)
+            alloc = fill_remaining_power(omega_min, as_array(gains), rho, p_max, p_total, qos)
+            omega = by_id(gains, alloc.omega)
+            return sum(np.log2(1 + rho * gains[u] * w) for u, w in omega.items())
 
         lo = model_sum(floor_power * 1.5)
         hi = model_sum(floor_power * 3.0)
@@ -229,9 +255,9 @@ class TestFillRemainingPower:
         (float("inf"), 4.0),
     ])
     def test_non_finite_budget_raises(self, p_max, p_total):
-        gains = {0: 1.0, 1: 0.3}
+        gains = np.array([1.0, 0.3])
         qos = QoSSpec(r_min=1.0, delta_r=0.05)
-        omega_min = {0: 0.1, 1: 0.3}
+        omega_min = np.array([0.1, 0.3])
         with deadline(5.0), pytest.raises(ValueError, match="not finite"):
             fill_remaining_power(omega_min, gains, 10.0, p_max, p_total, qos)
 
@@ -240,27 +266,28 @@ class TestFillRemainingPower:
         gains = {0: 1.0, 1: 0.3, 2: 0.05}
         rho, p_max, p_total = 10.0, 1.0, 4.0
         qos = QoSSpec(r_min=1.0, delta_r=0.05)
-        omega_min = min_power_coefficients(gains, rho, qos, p_max, p_total)
-        alloc = fill_remaining_power(omega_min, gains, rho, p_max, p_total, qos)
+        omega_min = min_power_coefficients(as_array(gains), rho, qos, p_max, p_total)
+        alloc = fill_remaining_power(omega_min, as_array(gains), rho, p_max, p_total, qos)
 
         def rate_of(omega):
             return sum(np.log2(1 + rho * gains[u] * w) for u, w in omega.items())
 
-        base = rate_of(alloc.omega)
+        omega = by_id(gains, alloc.omega)
+        base = rate_of(omega)
         step = 2.0 ** qos.delta_r
         for src in gains:
-            granted = alloc.omega[src] - omega_min[src]
+            granted = omega[src] - omega_min[src]
             if granted <= 1e-12:
                 continue
-            se_src = np.log2(1 + rho * gains[src] * alloc.omega[src])
+            se_src = np.log2(1 + rho * gains[src] * omega[src])
             dp_src = (1 - 1 / step) * (2.0 ** se_src) / (rho * gains[src])
             take = min(dp_src, granted)
             for dst in gains:
                 if dst == src:
                     continue
-                se_dst = np.log2(1 + rho * gains[dst] * alloc.omega[dst])
+                se_dst = np.log2(1 + rho * gains[dst] * omega[dst])
                 dp_dst = (step - 1) * (2.0 ** se_dst) / (rho * gains[dst])
-                moved = dict(alloc.omega)
+                moved = dict(omega)
                 moved[src] -= take
                 moved[dst] += min(take, dp_dst)
                 assert rate_of(moved) <= base + 1e-9
@@ -299,11 +326,12 @@ def reference_fill(omega_min, gains, rho, p_max, p_total, qos):
     return PowerAllocation(omega=omega, p_max=p_max, p_total=p_total)
 
 
-def fill_case(seed, n, r_min, delta_r, headroom, tied, reverse):
-    """Fill inputs: n users under shuffled ids, gains over three decades
-    (drawn from a few values when tied, so keys tie across users), and a
-    budget of headroom times the QoS floor power (or, at r_min = 0, times
-    the floor power of r_min = 1)."""
+def fill_case(seed, n, r_min, delta_r, headroom, tied):
+    """Fill inputs keyed by user id, as reference_fill takes them: n users
+    under shuffled ids, gains over three decades (drawn from a few values
+    when tied, so keys tie across users), and a budget of headroom times
+    the QoS floor power (or, at r_min = 0, times the floor power of
+    r_min = 1)."""
     rng = np.random.default_rng(seed)
     g = 10.0 ** rng.uniform(-2.0, 1.0, n)
     if tied and n:
@@ -319,15 +347,21 @@ def fill_case(seed, n, r_min, delta_r, headroom, tied, reverse):
     if floor_w == 0.0:
         floor_w = p_max * sum(1.0 / (rho * x) for x in g) or 1.0
     p_total = headroom * floor_w
-    omega_min = min_power_coefficients(gains, rho, qos, p_max, p_total)
-    if reverse:
-        omega_min = dict(reversed(omega_min.items()))
+    omega_min = by_id(
+        gains, min_power_coefficients(as_array(gains), rho, qos, p_max, p_total)
+    )
     return omega_min, gains, rho, p_max, p_total, qos
 
 
+def fill(omega_min, gains, *rest):
+    """fill_remaining_power on arguments keyed by user id: the users go in
+    user-id order, and omega comes back keyed by user id."""
+    got = fill_remaining_power(as_array(omega_min), as_array(gains), *rest)
+    return by_id(gains, got.omega), got
+
+
 class TestFillMatchesHeap:
-    """The closed-form replay equals the heap loop bit for bit, key order
-    of omega included."""
+    """The closed-form replay equals the heap loop bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -336,14 +370,13 @@ class TestFillMatchesHeap:
         delta_r=st.sampled_from([0.05, 0.1, 0.5]),
         headroom=st.floats(1.0, 30.0),
         tied=st.booleans(),
-        reverse=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_heap(self, seed, n, r_min, delta_r, headroom, tied, reverse):
-        args = fill_case(seed, n, r_min, delta_r, headroom, tied, reverse)
-        got = fill_remaining_power(*args)
+    def test_equals_heap(self, seed, n, r_min, delta_r, headroom, tied):
+        args = fill_case(seed, n, r_min, delta_r, headroom, tied)
+        omega, got = fill(*args)
         want = reference_fill(*args)
-        assert list(got.omega.items()) == list(want.omega.items())
+        assert list(omega.items()) == list(want.omega.items())
         assert (got.p_max, got.p_total, got.qos_feasible) == (
             want.p_max, want.p_total, want.qos_feasible)
 
@@ -353,15 +386,15 @@ class TestFillMatchesHeap:
             allocation, "_water_level", lambda key0, p_rem: float(key0.min())
         )
         for seed in range(5):
-            args = fill_case(seed, 200, 1.0, 0.05, 20.0, seed % 2 == 0, False)
-            got = fill_remaining_power(*args)
-            assert list(got.omega.items()) == list(reference_fill(*args).omega.items())
+            args = fill_case(seed, 200, 1.0, 0.05, 20.0, seed % 2 == 0)
+            omega, _got = fill(*args)
+            assert list(omega.items()) == list(reference_fill(*args).omega.items())
 
     def test_non_advancing_step_raises(self):
         # 2^delta_r rounds to 1: every step is free and a heap loop never ends
         qos = QoSSpec(r_min=1.0, delta_r=1e-18)
         with deadline(5.0), pytest.raises(ValueError, match="finite positive"):
-            fill_remaining_power({0: 0.1}, {0: 1.0}, 10.0, 1.0, 4.0, qos)
+            fill_remaining_power(np.array([0.1]), np.array([1.0]), 10.0, 1.0, 4.0, qos)
 
     def test_memory_follows_grants(self):
         # 1200 users at a 50 dBm budget: 32k grants, up to 111 for one
@@ -375,14 +408,15 @@ class TestFillMatchesHeap:
         state = prepare_trial(cfg, 42, 0)
         p = dbm_to_watts(50.0)
         rho, qos = cfg.rho(p), cfg.qos()
-        omega_min = min_power_coefficients(state.gains, rho, qos, p, p)
+        omega_min = min_power_coefficients(state.gain, rho, qos, p, p)
         assert len(omega_min) == 1200
         tracemalloc.start()
         try:
-            got = fill_remaining_power(omega_min, state.gains, rho, p, p, qos)
+            got = fill_remaining_power(omega_min, state.gain, rho, p, p, qos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        want = reference_fill(omega_min, state.gains, rho, p, p, qos)
-        assert list(got.omega.items()) == list(want.omega.items())
+        gains = dict(zip(state.user_id.tolist(), state.gain.tolist()))
+        want = reference_fill(by_id(gains, omega_min), gains, rho, p, p, qos)
+        assert list(by_id(gains, got.omega).items()) == list(want.omega.items())

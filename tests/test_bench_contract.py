@@ -56,6 +56,14 @@ def test_span_coverage(perfbench):
 def test_traced_run_matches_untraced(perfbench, tmp_path, capsys):
     tracer = perfbench.Tracer()
     tracer.install()
+    users_args = []  # evaluate_objective's first argument, call by call
+    traced_objective = hapsim.harness.evaluate_objective
+
+    def spy(users, *args, **kwargs):
+        users_args.append(users)
+        return traced_objective(users, *args, **kwargs)
+
+    hapsim.harness.evaluate_objective = spy  # the tracer restores the original
     try:
         traced = run_commands(tmp_path / "traced")
     finally:
@@ -68,6 +76,18 @@ def test_traced_run_matches_untraced(perfbench, tmp_path, capsys):
     assert tracer.counts["max_group_size"] > 0
     for holder, attr, _defining in perfbench.SPANS:
         assert not hasattr(getattr(sys.modules[holder], attr), "__wrapped__")
+    # what --trace 1 predicts and its hooks assume: one covariance call per
+    # prepared trial, one evaluate_trial per power point, and one users
+    # object per prepared trial, handed to every point of that trial
+    stats = tracer.stats
+    prepared = stats["harness.prepare_trial"].calls
+    assert prepared == 2 + 2  # run: 2 trials; sweep-power: 2 trials, one r
+    assert stats["channel.correlation_matrices"].calls == prepared
+    assert stats["harness.evaluate_trial"].calls == 2 * 1 + 2 * 2  # 40, 46 dBm
+    assert len(users_args) == stats["rate.evaluate_objective"].calls == 6
+    assert len({id(users) for users in users_args}) == prepared
+    runs = [users_args[0], users_args[1]] + [users_args[2]] * 2 + [users_args[4]] * 2
+    assert all(a is b for a, b in zip(users_args, runs))
 
 
 @pytest.mark.parametrize("workload", ["ordering-sweep", "run-q32", "disk-drop"])

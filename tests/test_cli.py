@@ -13,8 +13,8 @@ TINY = Path(__file__).parent / "golden" / "tiny.cfg"
 
 
 class TestListOptions:
-    """A bad --powers-dbm or --r exits 2 with one error line and writes
-    nothing, as a bad config key does."""
+    """A bad --powers-dbm, --r or --workers exits 2 with one error line and
+    writes nothing, as a bad config key does."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -27,9 +27,11 @@ class TestListOptions:
             ["sweep-rb", "--r", "0"],
             ["sweep-rb", "--r", "x"],
             ["sweep-rb", "--r", "2,2"],
+            ["run", "--workers", "0"],
+            ["run", "--workers", "-3"],
         ],
         ids=["powers-40,abc", "powers-comma", "powers-nan", "powers-inf",
-             "powers-repeat", "r-0", "r-x", "r-repeat"],
+             "powers-repeat", "r-0", "r-x", "r-repeat", "workers-0", "workers--3"],
     )
     def test_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -103,3 +105,43 @@ def test_quadrature_rule_reaches_the_run(tmp_path, capsys):
         outputs[name] = (out / "run.csv").read_bytes()
     capsys.readouterr()
     assert outputs["midpoint"] != outputs["gauss"]
+
+
+class TestSubsectionRule:
+    """subsection_rule = division from the config, through cli.main."""
+
+    def run(self, tmp_path, name, text):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(text)
+        out = tmp_path / name
+        code = cli.main(["run", "--config", str(config), "--out", str(out)])
+        return code, out
+
+    def test_division_equals_square_when_square(self, tmp_path, capsys):
+        # 10 MHz, r = 2: nbr // r = 25 is square, so both rules give L = 25
+        base = "bandwidth = 10e6\nr = 2\nquadrature_points = 2\ntrials = 1\n"
+        outputs = {}
+        for rule in ("square", "division"):
+            code, out = self.run(tmp_path, rule, base + f"subsection_rule = {rule}\n")
+            assert code == 0
+            outputs[rule] = (
+                (out / "run.csv").read_bytes(), (out / "meta.txt").read_text().splitlines()
+            )
+        capsys.readouterr()
+        assert outputs["division"][0] == outputs["square"][0]
+        square, division = outputs["square"][1], outputs["division"][1]
+        assert len(square) == len(division)
+        differ = [a.split(" = ")[0] for a, b in zip(square, division) if a != b]
+        assert differ == ["subsection_rule", "fingerprint"]
+
+    def test_division_rejects_a_non_square(self, tmp_path, capsys):
+        # 10 MHz, r = 1: nbr // r = 50 is not a square
+        code, out = self.run(
+            tmp_path, "division", "bandwidth = 10e6\nr = 1\nsubsection_rule = division\n"
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()

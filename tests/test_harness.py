@@ -22,7 +22,7 @@ from hapsim.harness import (
     trial_rng,
 )
 
-from oracles import orthogonality_defect
+from oracles import orthogonality_defect, trial_users
 
 FAST = dict(quadrature_points=4, trials=2, seed=42)
 
@@ -254,6 +254,7 @@ class TestRunTrial:
         a = run_trial(cfg, cfg.seed, 0)
         b = run_trial(cfg, cfg.seed, 0)
         assert a == b
+        assert a.users == b.users
 
     def test_zero_users(self):
         cfg = fast_cfg(users_per_trial=0)
@@ -267,8 +268,8 @@ class TestRunTrial:
         rec = evaluate_trial(state, cfg.p_max, cfg.p_total)
         assert len(rec.users) == 1
         row = rec.users[0]
-        u = state.users[0]
-        v = composite_steering(u.angles.mu_phi, u.angles.mu_h, cfg.array_config())
+        [u] = trial_users(state, cfg.seed)
+        v = composite_steering(u.mu_phi, u.mu_h, cfg.array_config())
         se = np.log2(1 + cfg.rho() * row.omega * abs(np.vdot(u.channel, v)) ** 2)
         assert row.spectral_efficiency == pytest.approx(se, rel=1e-12)
         assert row.rate_bps == pytest.approx(cfg.r * cfg.bw_rb * se, rel=1e-12)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,13 +6,23 @@ import pytest
 
 from hapsim.geometry import ArrayConfig, AngularCoordinates
 from hapsim.dofgrid import GridCell
-from hapsim.allocation import PowerAllocation, QoSSpec, assign_resource_blocks, cluster_users
+from hapsim.allocation import (
+    PowerAllocation,
+    QoSSpec,
+    assign_resource_blocks,
+    cluster_users,
+)
 from hapsim.channel import composite_steering
-from hapsim.rate import (
+from hapsim.rate import UserCell, build_cluster_precoders, evaluate_objective
+
+from oracles import (
     ServedUser,
-    build_cluster_precoders,
-    build_interference_map,
-    evaluate_objective,
+    array_trial,
+    cluster_precoders_ref,
+    cluster_users_ref,
+    interference_map_ref,
+    trial_users,
+    user_arrays,
 )
 
 
@@ -23,36 +34,77 @@ CFG = ArrayConfig(m_x=4, m_y=4)
 
 
 def served(uid, cell, ang, channel, ts=1.0):
-    return ServedUser(user_id=uid, cell=cell, angles=ang, channel=channel, time_share=ts)
+    return ServedUser(
+        user_id=uid, cell=cell, mu_phi=ang.mu_phi, mu_h=ang.mu_h,
+        channel=np.asarray(channel), time_share=ts,
+    )
 
 
-def by_user(report, im):
+def alloc(omega, p_max, p_total):
+    """A PowerAllocation from omega keyed by user id."""
+    return PowerAllocation(
+        omega=np.array([omega[u] for u in sorted(omega)], dtype=float),
+        p_max=p_max, p_total=p_total,
+    )
+
+
+def by_user(report, ids):
     """The report's evaluation-order arrays as dicts keyed by user id."""
     return SimpleNamespace(
-        rates=dict(zip(im.user_ids, report.rates.tolist())),
-        spectral_efficiency=dict(zip(im.user_ids, report.spectral_efficiency.tolist())),
-        sinr=dict(zip(im.user_ids, report.sinr.tolist())),
+        rates=dict(zip(ids, report.rates.tolist())),
+        spectral_efficiency=dict(zip(ids, report.spectral_efficiency.tolist())),
+        sinr=dict(zip(ids, report.sinr.tolist())),
         sum_rate=report.sum_rate,
     )
+
+
+def cells(arrays):
+    return tuple(map(
+        UserCell, arrays.user_id.tolist(),
+        map(GridCell, arrays.sector.tolist(), arrays.section.tolist(),
+            arrays.subsection.tolist()),
+    ))
 
 
 def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
     """evaluate_objective with the users' own interference map, its report
     keyed by user id; allocator gains default to the realized own-beam
-    gains |h^H p|^2."""
-    im = build_interference_map(users, plan, build_cluster_precoders(users, CFG))
+    gains |h^H p|^2. The users' declared time shares replace the ones
+    their cells give, so a lone user can hold part of its slot."""
+    u, _groups, _plan, im = array_trial(users, plan.total_rb, plan.rb_per_user, CFG)
+    share = {v.user_id: v.time_share for v in users}
+    im = replace(im, time_share=np.array([share[uid] for uid in u.user_id.tolist()])[im.order])
     if gains is None:
-        gains = dict(zip(im.user_ids, im.own_gain.tolist()))
-    report, cons = evaluate_objective(users, plan, power, qos, rho, bw_rb, gains, im)
-    return by_user(report, im), cons
+        gains = np.empty(len(im.order))
+        gains[im.order] = im.own_gain
+    else:
+        gains = np.array([gains[uid] for uid in u.user_id.tolist()])
+    report, cons = evaluate_objective(cells(u), plan, power, qos, rho, bw_rb, gains, im)
+    return by_user(report, u.user_id[im.order].tolist()), cons
+
+
+def plan_for(users, r, nbr=50):
+    u = user_arrays(users)
+    groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
+    return assign_resource_blocks(groups.cluster_ids, nbr, r)
+
+
+def precoder(users, key, cfg=CFG):
+    """The (M, n) precoder of the (sector, cluster) group key, the users'
+    arrays taken in the order given."""
+    u = user_arrays(users)
+    groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
+    rows = build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, cfg)
+    first = groups.order[groups.starts[:-1]]
+    g = list(zip(u.sector[first].tolist(), u.subsection[first].tolist())).index(key)
+    return rows[groups.starts[g]:groups.starts[g + 1]].T
 
 
 def one_cluster(angles, channels, r=1, ts=1.0):
     """User k in section k + 1 of one cluster, with the given channel."""
     cells = [GridCell(sector=1, section=k + 1, subsection=3) for k in range(len(angles))]
     users = [served(k, c, a, h, ts) for k, (c, a, h) in enumerate(zip(cells, angles, channels))]
-    plan = assign_resource_blocks(cluster_users([(k, c) for k, c in enumerate(cells)]), 50, r)
-    return users, plan
+    return users, plan_for(users, r)
 
 
 def steer(ang, cfg=CFG):
@@ -68,7 +120,7 @@ class TestClusterColumns:
     def test_single_member(self):
         ang = mu_only(0.3, 0.5)
         users, _ = one_cluster([ang], [steer(ang)])
-        cols = build_cluster_precoders(users, CFG)[(1, 3)]
+        cols = precoder(users, (1, 3))
         assert cols.shape == (16, 1)
         assert np.linalg.norm(cols[:, 0]) == pytest.approx(1.0)
 
@@ -76,7 +128,7 @@ class TestClusterColumns:
         angles = [mu_only(0.1, 0.2), mu_only(0.1 + 0.5, 0.2), mu_only(0.1, 0.2 + 0.5)]
         users, _ = one_cluster(angles, [steer(a) for a in angles])
         # given out of id order; columns still follow user id
-        cols = build_cluster_precoders(users[::-1], CFG)[(1, 3)]
+        cols = precoder(users[::-1], (1, 3))
         gram = cols.conj().T @ cols
         assert np.allclose(gram, np.eye(3), atol=1e-10)
         for k, a in enumerate(angles):
@@ -86,7 +138,7 @@ class TestClusterColumns:
         cfg = ArrayConfig(m_x=4, m_y=1)
         angles = [mu_only(0.25, 0.7), mu_only(0.0, 0.7)]
         users, _ = one_cluster(angles, [np.zeros(4)] * 2)
-        cols = build_cluster_precoders(users, cfg)[(1, 3)]
+        cols = precoder(users, (1, 3), cfg)
         gram = cols.conj().T @ cols
         assert abs(gram[0, 1]) == pytest.approx(0.6532814824381883, abs=1e-12)
 
@@ -95,7 +147,7 @@ class TestSinr:
     def test_lone_user(self):
         ang = mu_only(0.3, 0.4)
         users, plan = one_cluster([ang], [2.0 * steer(ang)])  # |h^H p|^2 = 4
-        power = PowerAllocation(omega={0: 0.25}, p_max=1.0, p_total=1.0)
+        power = alloc({0: 0.25}, p_max=1.0, p_total=1.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=8.0)
         assert report.sinr[0] == pytest.approx(8.0 * 0.25 * 4.0, rel=1e-12)
         assert report.rates[0] == pytest.approx(180e3 * np.log2(9.0), rel=1e-12)
@@ -103,7 +155,7 @@ class TestSinr:
     def test_orthogonal_cluster_no_interference(self):
         angles = [mu_only(0.1, 0.2), mu_only(0.6, 0.2)]
         users, plan = one_cluster(angles, [steer(a) for a in angles])
-        power = PowerAllocation(omega={0: 1.0, 1: 1.0}, p_max=1.0, p_total=2.0)
+        power = alloc({0: 1.0, 1: 1.0}, p_max=1.0, p_total=2.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
         # interference-free: sinr = rho * omega * |h^H p|^2 = 1
         assert report.sinr[0] == pytest.approx(1.0, rel=1e-9)
@@ -114,7 +166,7 @@ class TestSinr:
         users, plan = one_cluster(angles, channels)
         omega = {0: 0.2, 1: 0.5, 2: 0.1}
         rho = 3.0
-        power = PowerAllocation(omega=omega, p_max=1.0, p_total=1.0)
+        power = alloc(omega, p_max=1.0, p_total=1.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho)
         sig = rho * omega[1] * abs(np.vdot(channels[1], steer(angles[1]))) ** 2
         intf = sum(
@@ -126,7 +178,7 @@ class TestSinr:
     def test_global_phase_invariance(self):
         angles = [mu_only(0.15, 0.45), mu_only(0.35, 0.45)]
         channels = random_channels(0, 2)
-        power = PowerAllocation(omega={0: 0.4, 1: 0.6}, p_max=1.0, p_total=1.0)
+        power = alloc({0: 0.4, 1: 0.6}, p_max=1.0, p_total=1.0)
         qos = QoSSpec(r_min=0.0)
         base, _ = objective(*one_cluster(angles, channels), power, qos, 2.0)
         rotated = [channels[0] * np.exp(1j * 1.234), channels[1]]
@@ -142,7 +194,7 @@ class TestRate:
     def lone_rate(self, omega, r=1, ts=1.0):
         ang = mu_only(0.2, 0.3)
         users, plan = one_cluster([ang], [steer(ang)], r=r, ts=ts)
-        power = PowerAllocation(omega={0: omega}, p_max=1.0, p_total=1.0)
+        power = alloc({0: omega}, p_max=1.0, p_total=1.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
         return report.rates[0]
 
@@ -165,16 +217,14 @@ def two_user_setup(mu2=0.6, beta=1.0):
     h1 = np.sqrt(beta) * composite_steering(a1.mu_phi, a1.mu_h, CFG)
     h2 = np.sqrt(beta) * composite_steering(a2.mu_phi, a2.mu_h, CFG)
     users = [served(0, c1, a1, h1), served(1, c2, a2, h2)]
-    clusters = cluster_users([(0, c1), (1, c2)])
-    plan = assign_resource_blocks(clusters, 50, 2)
-    return users, plan
+    return users, plan_for(users, 2)
 
 
 class TestEvaluateObjective:
     def test_single_user_sum(self):
         users, plan = two_user_setup()
         solo = [users[0]]
-        power = PowerAllocation(omega={0: 0.5}, p_max=2.0, p_total=2.0)
+        power = alloc({0: 0.5}, p_max=2.0, p_total=2.0)
         report, cons = objective(solo, plan, power, QoSSpec(r_min=0.0), rho=4.0)
         assert report.sum_rate == pytest.approx(report.rates[0])
         # closed form: 2 blocks of bw_rb at log2(1 + rho omega |h^H p|^2)
@@ -185,7 +235,7 @@ class TestEvaluateObjective:
 
     def test_orthogonal_pair_equals_interference_free(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
-        power = PowerAllocation(omega={0: 0.3, 1: 0.7}, p_max=1.0, p_total=1.0)
+        power = alloc({0: 0.3, 1: 0.7}, p_max=1.0, p_total=1.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=5.0)
         for uid in (0, 1):
             free = 2 * 180e3 * np.log2(1 + 5.0 * power.omega[uid])
@@ -193,7 +243,7 @@ class TestEvaluateObjective:
 
     def test_non_orthogonal_below_interference_free(self):
         users, plan = two_user_setup(mu2=0.1 + 0.37)
-        power = PowerAllocation(omega={0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
+        power = alloc({0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=50.0)
         for uid in (0, 1):
             free = 2 * 180e3 * np.log2(1 + 50.0 * 0.5)
@@ -201,8 +251,8 @@ class TestEvaluateObjective:
 
     def test_omega_monotonicity_without_interference(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
-        lo = PowerAllocation(omega={0: 0.2, 1: 0.2}, p_max=1.0, p_total=1.0)
-        hi = PowerAllocation(omega={0: 0.4, 1: 0.4}, p_max=1.0, p_total=1.0)
+        lo = alloc({0: 0.2, 1: 0.2}, p_max=1.0, p_total=1.0)
+        hi = alloc({0: 0.4, 1: 0.4}, p_max=1.0, p_total=1.0)
         qos = QoSSpec(r_min=0.0)
         r_lo, _ = objective(users, plan, lo, qos, 5.0)
         r_hi, _ = objective(users, plan, hi, qos, 5.0)
@@ -210,7 +260,7 @@ class TestEvaluateObjective:
 
     def test_constraint_margins_hand_checked(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
-        power = PowerAllocation(omega={0: 0.25, 1: 0.25}, p_max=2.0, p_total=4.0)
+        power = alloc({0: 0.25, 1: 0.25}, p_max=2.0, p_total=4.0)
         gains = {0: 1.0, 1: 1.0}
         report, cons = objective(
             users, plan, power, QoSSpec(r_min=1.0), rho=8.0, gains=gains
@@ -226,8 +276,8 @@ class TestEvaluateObjective:
         c = GridCell(sector=1, section=1, subsection=2)
         h = composite_steering(a.mu_phi, a.mu_h, CFG)
         users = [served(0, c, a, h, ts=0.5), served(1, c, a, h, ts=0.5)]
-        plan = assign_resource_blocks(cluster_users([(0, c), (1, c)]), 50, 1)
-        power = PowerAllocation(omega={0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
+        plan = plan_for(users, 1)
+        power = alloc({0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
         report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=10.0)
         # same channel, same omega, half airtime each
         assert report.rates[0] == pytest.approx(report.rates[1], rel=1e-12)
@@ -236,7 +286,7 @@ class TestEvaluateObjective:
 
     def test_empty_input(self):
         _, plan = two_user_setup()
-        power = PowerAllocation(omega={}, p_max=1.0, p_total=1.0)
+        power = alloc({}, p_max=1.0, p_total=1.0)
         report, cons = objective([], plan, power, QoSSpec(r_min=1.0), rho=1.0)
         assert report.sum_rate == 0.0
         assert cons.power_margin_w == 1.0
@@ -244,11 +294,12 @@ class TestEvaluateObjective:
 
     def test_map_of_another_trial_raises(self):
         users, plan = two_user_setup()
-        im = build_interference_map(users, plan, build_cluster_precoders(users, CFG))
-        power = PowerAllocation(omega={0: 0.5}, p_max=1.0, p_total=1.0)
+        im = array_trial(users, 50, 2, CFG)[3]
+        power = alloc({0: 0.5}, p_max=1.0, p_total=1.0)
         with pytest.raises(ValueError, match="interference map"):
             evaluate_objective(
-                users[:1], plan, power, QoSSpec(r_min=0.0), 1.0, 180e3, {0: 1.0}, im
+                users[:1], plan, power, QoSSpec(r_min=0.0), 1.0, 180e3,
+                np.array([1.0]), im,
             )
 
 
@@ -262,7 +313,7 @@ def reference_objective(users, plan, omega, rho, bw_rb, cfg):
     groups = {}
     for u in users:
         groups.setdefault((u.cell.sector, u.cell.subsection), []).append(u)
-    precoders = build_cluster_precoders(users, cfg)
+    precoders = cluster_precoders_ref(users, cfg)
     block_groups = {}
     if plan.reuse:
         for key in groups:
@@ -317,21 +368,125 @@ class TestInterferenceMapMatchesLoop:
 
         cfg = ScenarioConfig(quadrature_points=4, seed=3, **kw).resolve()
         state = prepare_trial(cfg, cfg.seed, 0)
+        users = trial_users(state, cfg.seed)
         assert state.plan.reuse == reuse
-        assert any(u.time_share < 1.0 for u in state.users) == shared
+        assert any(u.time_share < 1.0 for u in users) == shared
         rng = np.random.default_rng(4)
         omega = {u.user_id: float(w) for u, w in
-                 zip(state.users, rng.uniform(1e-4, 1e-2, len(state.users)))}
-        power = PowerAllocation(omega=omega, p_max=1.0, p_total=1.0)
+                 zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
+        power = alloc(omega, p_max=1.0, p_total=1.0)
         rho = cfg.rho()
         report, _ = evaluate_objective(
             state.users, state.plan, power, QoSSpec(), rho, cfg.bw_rb,
-            state.gains, state.interference,
+            state.gain, state.interference,
         )
-        report = by_user(report, state.interference)
+        report = by_user(report, state.user_id[state.interference.order].tolist())
         rates, ses, total = reference_objective(
-            state.users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
+            users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
         )
         assert report.rates == rates
         assert report.spectral_efficiency == ses
         assert report.sum_rate == total
+
+
+def assert_equals_oracles(user_id, time_share, plan, im, users, cfg):
+    """An array trial (ids and time shares in user-id order, its plan and
+    interference map) equals the dict-based grouping and the per-user map
+    on the same users, taken in user-id order as prepare_trial held them,
+    exactly."""
+    users = sorted(users, key=lambda u: u.user_id)
+    clusters = cluster_users_ref([(u.user_id, u.cell) for u in users])
+    shares = {uid: ts for cl in clusters for uid, ts in cl.time_shares.items()}
+    plan_ref = assign_resource_blocks(
+        [cl.subsection_id for cl in clusters], plan.total_rb, plan.rb_per_user
+    )
+    users = [replace(u, time_share=shares[u.user_id]) for u in users]
+    ref = interference_map_ref(users, plan_ref, cluster_precoders_ref(users, cfg))
+    # evaluation order, time shares and plan blocks
+    assert user_id[im.order].tolist() == list(ref.user_ids)
+    assert time_share.tolist() == [shares[uid] for uid in user_id.tolist()]
+    assert im.time_share.tolist() == ref.time_share.tolist()
+    assert plan == plan_ref
+    # own_gain, same_cluster and wrapped
+    assert np.array_equal(im.own_gain, ref.own_gain)
+    assert len(im.same_cluster) == len(ref.same_cluster)
+    for got, want in zip(im.same_cluster, ref.same_cluster):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert len(im.wrapped) == len(ref.wrapped)
+    for (row, pos, others), (row_ref, pos_ref, others_ref) in zip(im.wrapped, ref.wrapped):
+        assert (row, pos) == (row_ref, pos_ref)
+        assert len(others) == len(others_ref)
+        for (rows, gains), (rows_ref, gains_ref) in zip(others, others_ref):
+            assert rows == rows_ref
+            assert np.array_equal(gains, gains_ref)
+
+
+class TestArrayTrialMatchesOracles:
+    """Clustering and the interference map, arrays against the per-user
+    dict forms in tests/oracles.py."""
+
+    @pytest.mark.parametrize(
+        "kw, reuse, shared",
+        [
+            # full occupancy, the golden tiny config
+            (dict(), False, False),
+            # full occupancy under reuse: 4 x 3 cluster-blocks onto 10 blocks
+            (dict(r=3), True, False),
+            # disk drops: crowded cells time-share
+            (dict(users_per_trial=150), False, True),
+            # 36 x 3 = 108 cluster-blocks onto 100 blocks
+            (dict(bandwidth=20e6, m_y=16, r=3), True, False),
+            # disk drops under reuse: 64 x 1 cluster-blocks onto 60 blocks
+            (dict(bandwidth=20e6, m_y=16, nbr=60, r=1, users_per_trial=300), True, True),
+            # an empty trial
+            (dict(users_per_trial=0), False, False),
+        ],
+    )
+    def test_prepared_trial(self, kw, reuse, shared):
+        from hapsim.config import ScenarioConfig
+        from hapsim.harness import prepare_trial
+
+        base = dict(bandwidth=1.8e6, m_y=8, quadrature_points=2, seed=7)
+        cfg = ScenarioConfig(**{**base, **kw}).resolve()
+        for trial in range(2):
+            state = prepare_trial(cfg, cfg.seed, trial)
+            assert state.plan.reuse == reuse
+            assert bool(np.any(state.time_share < 1.0)) == shared
+            assert_equals_oracles(
+                state.user_id, state.time_share, state.plan, state.interference,
+                trial_users(state, cfg.seed), cfg.array_config(),
+            )
+
+    @pytest.mark.parametrize("nbr, r", [(50, 2), (10, 3)])
+    def test_all_users_in_one_cell(self, nbr, r):
+        rng = np.random.default_rng(11)
+        c = GridCell(sector=2, section=3, subsection=4)
+        users = [
+            served(uid, c, mu_only(*rng.uniform(-0.5, 0.5, 2)), h)
+            for uid, h in zip([9, 2, 5, 30, 4], random_channels(5, 5))
+        ]
+        u, groups, plan, im = array_trial(users, nbr, r, CFG)
+        assert groups.time_share.tolist() == [0.2] * 5
+        assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
+
+    def test_blocks_held_by_many_groups(self):
+        # 5 clusters x 3 blocks onto 4 blocks: every block has 3 or 4
+        # holders per sector, and user ids do not follow the group keys,
+        # so the order of a block's other groups matters
+        rng = np.random.default_rng(12)
+        keys = [(s, sec, l) for s in (1, 2) for sec in (1, 2, 3) for l in range(1, 6)]
+        ids = rng.permutation(200)[:len(keys) + 6]
+        cells = [GridCell(*k) for k in keys] + [GridCell(1, 2, 5)] * 3 + [GridCell(2, 1, 1)] * 3
+        users = [
+            served(int(uid), c, mu_only(*rng.uniform(-0.5, 0.5, 2)), h)
+            for uid, c, h in zip(ids, cells, random_channels(13, len(cells)))
+        ]
+        u, groups, plan, im = array_trial(users, 4, 3, CFG)
+        assert plan.reuse
+        assert max(len(others) for _row, _pos, others in im.wrapped) == 3
+        assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
+
+    def test_empty_users(self):
+        u, groups, plan, im = array_trial([], 50, 1, CFG)
+        assert len(im.order) == 0 and plan.cluster_blocks == {}
+        assert_equals_oracles(u.user_id, groups.time_share, plan, im, [], CFG)
