@@ -48,6 +48,7 @@ from .rate import (
     UserCell,
     build_cluster_precoders,
     build_interference_map,
+    effective_sinr,
     evaluate_objective,
 )
 
@@ -115,16 +116,18 @@ class TrialRecord:
     qos_margin_model: float
     qos_margin_realized: float
     unserved: int
-    # user id, sector, section, subsection, time share, omega, sinr,
-    # spectral efficiency and rate, each in user-id order
+    # user id, sector, section, subsection, time share, omega, spectral
+    # efficiency and rate, each in user-id order
     columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @cached_property
     def users(self) -> tuple[UserRow, ...]:
         """One row per user, built when first read."""
-        uid, sector, section, subsection, *rest = (c.tolist() for c in self.columns)
+        *head, se, rate = self.columns
+        uid, sector, section, subsection, share, omega = (c.tolist() for c in head)
         return tuple(map(
-            UserRow, uid, map(GridCell, sector, section, subsection), *rest
+            UserRow, uid, map(GridCell, sector, section, subsection), share,
+            omega, effective_sinr(se), se.tolist(), rate.tolist(),
         ))
 
 
@@ -318,10 +321,8 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         state.users, state.plan, power, qos, rho, cfg.bw_rb,
         state.gain, state.interference,
     )
-    scored = np.empty((3, len(state.user_id)))  # back to user-id order
-    scored[:, state.interference.order] = (
-        report.sinr, report.spectral_efficiency, report.rates
-    )
+    scored = np.empty((2, len(state.user_id)))  # back to user-id order
+    scored[:, state.interference.order] = (report.spectral_efficiency, report.rates)
     return TrialRecord(
         trial=state.trial,
         sum_rate_bps=report.sum_rate,

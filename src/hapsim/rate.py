@@ -39,8 +39,13 @@ class RateReport:
 
     rates: np.ndarray                 # bits/s
     spectral_efficiency: np.ndarray   # bits/s/Hz within the user's slot
-    sinr: np.ndarray
     sum_rate: float
+
+
+def effective_sinr(spectral_efficiency: np.ndarray) -> list[float]:
+    """2^se - 1 per entry, through the C library pow as Python float
+    arithmetic does; numpy's vectorized power can differ in the last bit."""
+    return [2.0 ** v - 1.0 for v in spectral_efficiency.tolist()]
 
 
 @dataclass(frozen=True)
@@ -215,10 +220,7 @@ def evaluate_objective(
     se = se_sum / blocks
     rate_arr = im.time_share * blocks * bw_rb * se
 
-    # 2 ** v through the C library pow, as Python float arithmetic does;
-    # numpy's vectorized power can differ in the last bit. The sum runs
-    # in evaluation order, sequentially.
-    sinr = np.array([2.0 ** v - 1.0 for v in se.tolist()])
+    # in evaluation order, left to right, as Python's sum adds
     sum_rate = float(sum(rate_arr.tolist()))
 
     if n:
@@ -229,7 +231,7 @@ def evaluate_objective(
         model_margin = float("inf")
         realized_margin = float("inf")
     report = RateReport(
-        rates=rate_arr, spectral_efficiency=se, sinr=sinr, sum_rate=sum_rate
+        rates=rate_arr, spectral_efficiency=se, sum_rate=sum_rate
     )
     constraints = ConstraintReport(
         power_margin_w=power.p_total - power.spent,

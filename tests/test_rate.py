@@ -13,7 +13,12 @@ from hapsim.allocation import (
     cluster_users,
 )
 from hapsim.channel import composite_steering
-from hapsim.rate import UserCell, build_cluster_precoders, evaluate_objective
+from hapsim.rate import (
+    UserCell,
+    build_cluster_precoders,
+    effective_sinr,
+    evaluate_objective,
+)
 
 from oracles import (
     ServedUser,
@@ -53,7 +58,7 @@ def by_user(report, ids):
     return SimpleNamespace(
         rates=dict(zip(ids, report.rates.tolist())),
         spectral_efficiency=dict(zip(ids, report.spectral_efficiency.tolist())),
-        sinr=dict(zip(ids, report.sinr.tolist())),
+        sinr=dict(zip(ids, effective_sinr(report.spectral_efficiency))),
         sum_rate=report.sum_rate,
     )
 
