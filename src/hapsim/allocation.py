@@ -144,7 +144,9 @@ def min_power_coefficients(
     floors = _floor_coefficients(gains, rho, qos)
     bad = np.flatnonzero(gains <= 0)
     if len(bad):
-        raise ValueError(f"user {bad[0]} has non-positive gain {gains[bad[0]]}")
+        raise ValueError(
+            f"user at position {bad[0]} has non-positive gain {gains[bad[0]]}"
+        )
     margin = p_max * sum(floors.tolist()) - p_total
     if margin > 0:
         raise PowerBudgetError(margin)
