@@ -83,9 +83,10 @@ class InterferenceMap:
     # same-cluster interference, one entry per interferer count k:
     # (rows (m,), interferer rows (m, k), gains |h_u^H p_v|^2 (m, k))
     same_cluster: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    # wrapped blocks under reuse: (row, block position,
-    # ((slice of the other group's rows, gains onto its columns), ...))
-    wrapped: tuple[tuple[int, int, tuple[tuple[slice, np.ndarray], ...]], ...]
+    # wrapped blocks under reuse, one entry per group and block position:
+    # (slice of the group's rows, block position,
+    #  ((slice of another group's rows, gains (rows, its columns)), ...))
+    wrapped: tuple[tuple[slice, int, tuple[tuple[slice, np.ndarray], ...]], ...]
 
 
 def build_interference_map(
@@ -150,15 +151,16 @@ def build_interference_map(
                         columns[o] = np.ascontiguousarray(
                             precoders[starts[o]:starts[o + 1]].T
                         )
-                for row in range(starts[g], starts[g + 1]):
-                    h_conj = channels[order[row]].conj()
-                    wrapped.append((row, pos, tuple(
-                        (
-                            slice(starts[o], starts[o + 1]),
-                            np.abs(h_conj @ columns[o]) ** 2,
-                        )
-                        for o in others
-                    )))
+                # one vector-matrix product per user, as a per-user
+                # loop takes it; a stacked product can round differently
+                h_conj = [channels[i].conj() for i in order[starts[g]:starts[g + 1]]]
+                wrapped.append((slice(starts[g], starts[g + 1]), pos, tuple(
+                    (
+                        slice(starts[o], starts[o + 1]),
+                        np.array([np.abs(h @ columns[o]) ** 2 for h in h_conj]),
+                    )
+                    for o in others
+                )))
     return InterferenceMap(
         order=order,
         time_share=groups.time_share[order],
@@ -207,11 +209,11 @@ def evaluate_objective(
     # every cluster holds plan.rb_per_user blocks (assign_resource_blocks)
     blocks = plan.rb_per_user
     extra = np.zeros((n, blocks))
-    for row, pos, others in im.wrapped:
-        total = 0.0
-        for rows, gains in others:
-            total += float(np.sum(omega_eff[rows] * gains))
-        extra[row, pos] = total
+    for rows, pos, others in im.wrapped:
+        total = 0.0  # the other groups' sums, added in order
+        for cols, gains in others:
+            total = total + np.sum(omega_eff[cols] * gains, axis=1)
+        extra[rows, pos] = total
     # per-block log terms summed in block order, as a scalar loop would
     se_sum = np.zeros(n)
     for pos in range(blocks):

@@ -417,8 +417,14 @@ def assert_equals_oracles(user_id, time_share, plan, im, users, cfg):
     assert len(im.same_cluster) == len(ref.same_cluster)
     for got, want in zip(im.same_cluster, ref.same_cluster):
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert len(im.wrapped) == len(ref.wrapped)
-    for (row, pos, others), (row_ref, pos_ref, others_ref) in zip(im.wrapped, ref.wrapped):
+    # the map's wrapped entries per group and block, spread out per user
+    wrapped = [
+        (row, pos, tuple((cols, gains[a]) for cols, gains in others))
+        for rows, pos, others in im.wrapped
+        for a, row in enumerate(range(rows.start, rows.stop))
+    ]
+    assert len(wrapped) == len(ref.wrapped)
+    for (row, pos, others), (row_ref, pos_ref, others_ref) in zip(wrapped, ref.wrapped):
         assert (row, pos) == (row_ref, pos_ref)
         assert len(others) == len(others_ref)
         for (rows, gains), (rows_ref, gains_ref) in zip(others, others_ref):
