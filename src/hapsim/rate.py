@@ -140,27 +140,20 @@ def build_interference_map(
         for g in np.argsort(first).tolist():
             for b in plan.cluster_blocks[group_cluster[g]]:
                 holders.setdefault((group_sector[g], b), []).append(g)
-        columns: dict[int, np.ndarray] = {}
         for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
             for pos, b in enumerate(plan.cluster_blocks[l]):
                 others = [o for o in holders[(s, b)] if o != g]
                 if not others:
                     continue
-                for o in others:
-                    if o not in columns:
-                        columns[o] = np.ascontiguousarray(
-                            precoders[starts[o]:starts[o + 1]].T
-                        )
-                # one vector-matrix product per user, as a per-user
-                # loop takes it; a stacked product can round differently
                 h_conj = [channels[i].conj() for i in order[starts[g]:starts[g + 1]]]
-                wrapped.append((slice(starts[g], starts[g + 1]), pos, tuple(
-                    (
-                        slice(starts[o], starts[o + 1]),
-                        np.array([np.abs(h @ columns[o]) ** 2 for h in h_conj]),
-                    )
-                    for o in others
-                )))
+                block = []
+                for o in others:
+                    cols = slice(starts[o], starts[o + 1])
+                    p = np.ascontiguousarray(precoders[cols].T)
+                    # one vector-matrix product per user, as a per-user
+                    # loop takes it; a stacked product can round differently
+                    block.append((cols, np.array([np.abs(h @ p) ** 2 for h in h_conj])))
+                wrapped.append((slice(starts[g], starts[g + 1]), pos, tuple(block)))
     return InterferenceMap(
         order=order,
         time_share=groups.time_share[order],
