@@ -99,11 +99,18 @@ class ScenarioConfig:
         return 10.0 ** ((self.noise_psd + self.noise_figure - 30.0) / 10.0)
 
     def rho(self, p_max: float | None = None) -> float:
-        """Per-block transmit SNR scale: p_max / (N0 * r * bw_rb)."""
+        """Per-block transmit SNR scale: p_max / (N0 * r * bw_rb).
+
+        ConfigError unless it is finite and > 0: a power that under- or
+        overflows it leaves the allocator no finite step costs.
+        """
         p = self.p_max if p_max is None else p_max
         if self.nbr is None:
             raise ConfigError("rho requires a resolved config (nbr is None)")
-        return p / (self.noise_w_per_hz() * self.r * self.bw_rb)
+        rho = p / (self.noise_w_per_hz() * self.r * self.bw_rb)
+        if not 0.0 < rho < math.inf:
+            raise ConfigError(f"p_max {p!r} W gives rho {rho!r}; it must be finite and > 0")
+        return rho
 
     def dof(self) -> tuple[int, int]:
         return (
@@ -175,6 +182,7 @@ class ScenarioConfig:
                     "quadrature_points"):
             if int(getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        self.rho()
         if self.p_total is not None and self.p_total <= 0:
             raise ConfigError("p_total must be > 0")
         if self.r_min < 0:
@@ -275,4 +283,8 @@ def parse_config(text: str) -> ScenarioConfig:
 def load_config(path: str | Path | None = None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig().resolve()
-    return parse_config(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_config(text)

@@ -1,10 +1,12 @@
 """Experiment harness: seeded trials, figure sweeps, CSV and meta output.
 
 Every entry point is deterministic for a given config: trial t draws from
-default_rng(SeedSequence((seed, t))), aggregation iterates in sorted order,
-floats are written with repr() so reruns are byte-identical. Trial state up
-to the channel draw is independent of transmit power, so power sweeps build
-each trial once and re-solve only the power allocation per point.
+default_rng(SeedSequence((seed, t))), results are used in task order, and
+floats are written as str() of Python floats, which equals their repr(), so
+reruns are byte-identical. Trial state up to the channel draw is independent
+of transmit power, so power sweeps build each trial once and re-solve only
+the power allocation per point. Per-user results stay arrays in user-id
+order until the CSV text is built from them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import partial
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .channel import (
     los_channel,
     sample_channel,
 )
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .dofgrid import GridCell, cell_center, locate, steering_correlation
 from .geometry import (
     AngularCoordinates,
@@ -54,7 +57,11 @@ from .rate import (
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Watts of a dBm power; inf where the float power overflows."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def figure_r_values(cfg: ScenarioConfig) -> tuple[int, ...]:
@@ -94,21 +101,14 @@ class TrialState:
     users: tuple[UserCell, ...]
 
 
-class UserRow(NamedTuple):
-    """One user's line of a trial; a named tuple, since every power point
-    of every trial builds one per user."""
-
-    user_id: int
-    cell: GridCell
-    time_share: float
-    omega: float
-    sinr: float
-    spectral_efficiency: float
-    rate_bps: float
+_column = partial(field, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One scored trial: its totals, then one array per user column, each
+    in user-id order."""
+
     trial: int
     sum_rate_bps: float
     qos_feasible: bool
@@ -116,19 +116,14 @@ class TrialRecord:
     qos_margin_model: float
     qos_margin_realized: float
     unserved: int
-    # user id, sector, section, subsection, time share, omega, spectral
-    # efficiency and rate, each in user-id order
-    columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-
-    @cached_property
-    def users(self) -> tuple[UserRow, ...]:
-        """One row per user, built when first read."""
-        *head, se, rate = self.columns
-        uid, sector, section, subsection, share, omega = (c.tolist() for c in head)
-        return tuple(map(
-            UserRow, uid, map(GridCell, sector, section, subsection), share,
-            omega, effective_sinr(se), se.tolist(), rate.tolist(),
-        ))
+    users: np.ndarray = _column()  # user ids
+    sector: np.ndarray = _column()
+    section: np.ndarray = _column()
+    subsection: np.ndarray = _column()
+    time_share: np.ndarray = _column()
+    omega: np.ndarray = _column()
+    spectral_efficiency: np.ndarray = _column()
+    rate_bps: np.ndarray = _column()
 
 
 @dataclass(frozen=True)
@@ -331,10 +326,14 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         qos_margin_model=constraints.qos_margin_model,
         qos_margin_realized=constraints.qos_margin_realized,
         unserved=state.unserved,
-        columns=(
-            state.user_id, state.sector, state.section, state.subsection,
-            state.time_share, power.omega, *scored,
-        ),
+        users=state.user_id,
+        sector=state.sector,
+        section=state.section,
+        subsection=state.subsection,
+        time_share=state.time_share,
+        omega=power.omega,
+        spectral_efficiency=scored[0],
+        rate_bps=scored[1],
     )
 
 
@@ -355,37 +354,37 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None,
         workers: int = 1) -> list[TrialRecord]:
     """Per-user rate table over cfg.trials seeded trials."""
     tasks = [(cfg, cfg.seed, t) for t in range(cfg.trials)]
-    records = sorted(_map_tasks(_run_task, tasks, workers), key=lambda r: r.trial)
+    records = _map_tasks(_run_task, tasks, workers)
     if out_dir is not None:
         header = [
             "trial", "user", "sector", "section", "subsection", "time_share",
             "omega", "sinr", "spectral_efficiency_bits_hz", "rate_bps",
             "sum_rate_bps", "qos_feasible", "unserved_users",
         ]
-        rows: list[list[object]] = []
+        rows: list[tuple] = []
         for rec in records:
-            for u in rec.users:
-                rows.append([
-                    rec.trial, u.user_id, u.cell.sector, u.cell.section,
-                    u.cell.subsection, u.time_share, u.omega, u.sinr,
-                    u.spectral_efficiency, u.rate_bps, rec.sum_rate_bps,
-                    rec.qos_feasible, rec.unserved,
-                ])
+            rows.extend(zip(
+                repeat(rec.trial), rec.users.tolist(), rec.sector.tolist(),
+                rec.section.tolist(), rec.subsection.tolist(),
+                rec.time_share.tolist(), rec.omega.tolist(),
+                effective_sinr(rec.spectral_efficiency),
+                rec.spectral_efficiency.tolist(), rec.rate_bps.tolist(),
+                repeat(rec.sum_rate_bps), repeat(rec.qos_feasible),
+                repeat(rec.unserved),
+            ))
         _write_outputs(out_dir, "run", cfg, header, rows)
     return records
 
 
 def _sweep_power_task(
     args: tuple[ScenarioConfig, int, int, tuple[float, ...]]
-) -> tuple[int, int, list[tuple[float, bool]]]:
+) -> list[float]:
     cfg_r, seed, trial, powers_dbm = args
     state = prepare_trial(cfg_r, seed, trial)
-    out = []
-    for dbm in powers_dbm:
-        p = dbm_to_watts(dbm)
-        rec = evaluate_trial(state, p, p)
-        out.append((rec.sum_rate_bps, rec.qos_feasible))
-    return cfg_r.r, trial, out
+    return [
+        evaluate_trial(state, p, p).sum_rate_bps
+        for p in map(dbm_to_watts, powers_dbm)
+    ]
 
 
 def sweep_power(
@@ -402,34 +401,34 @@ def sweep_power(
     """
     powers = tuple(float(p) for p in powers_dbm)
     r_values = figure_r_values(cfg)
-    tasks = []
-    cfg_by_r = {}
-    for r in r_values:
-        cfg_r = replace(cfg, r=r).resolve()
-        cfg_by_r[r] = cfg_r
-        for t in range(cfg.trials):
-            tasks.append((cfg_r, cfg.seed, t, powers))
-    results = _map_tasks(_sweep_power_task, tasks, workers)
-
-    by_point: dict[tuple[float, int], list[float]] = {}
-    for r, _trial, values in results:
-        for dbm, (sum_rate, _feasible) in zip(powers, values):
-            by_point.setdefault((dbm, r), []).append(sum_rate)
+    configs = [replace(cfg, r=r).resolve() for r in r_values]
+    for dbm in powers:  # fail before any trial runs
+        for cfg_r in configs:
+            try:
+                cfg_r.rho(dbm_to_watts(dbm))
+            except ConfigError as exc:
+                raise ConfigError(f"power {dbm!r} dBm: {exc}") from None
+    tasks = [(cfg_r, cfg.seed, t, powers) for cfg_r in configs for t in range(cfg.trials)]
+    # sum rates by (layout, trial, power)
+    sums = np.array(_map_tasks(_sweep_power_task, tasks, workers)).reshape(
+        len(configs), cfg.trials, len(powers)
+    )
     rows = []
-    for (dbm, r) in sorted(by_point):
-        samples = np.array(by_point[(dbm, r)])
-        stderr = (
-            float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
-            if len(samples) > 1
-            else 0.0
-        )
-        rows.append({
-            "p_max_dbm": dbm,
-            "L": cfg_by_r[r].subsection_grid().l_count,
-            "r": r,
-            "mean_sum_rate_bps": float(np.mean(samples)),
-            "stderr": stderr,
-        })
+    # r_values ascend, so rows come sorted by (power, r)
+    for k, dbm in sorted(enumerate(powers), key=lambda kp: kp[1]):
+        for cfg_r, samples in zip(configs, sums[:, :, k]):
+            stderr = (
+                float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+                if len(samples) > 1
+                else 0.0
+            )
+            rows.append({
+                "p_max_dbm": dbm,
+                "L": cfg_r.subsection_grid().l_count,
+                "r": cfg_r.r,
+                "mean_sum_rate_bps": float(np.mean(samples)),
+                "stderr": stderr,
+            })
     if out_dir is not None:
         header = ["p_max_dbm", "L", "r", "mean_sum_rate_bps", "stderr"]
         _write_outputs(
@@ -449,40 +448,21 @@ def sweep_rb(
 ) -> list[dict[str, object]]:
     """Per-user rate samples for each blocks-per-user choice (CDF data)."""
     r_set = tuple(r_values) if r_values is not None else figure_r_values(cfg)
-    tasks = []
-    cfg_by_r = {}
-    for r in r_set:
-        cfg_r = replace(cfg, r=r).resolve()
-        cfg_by_r[r] = cfg_r
-        for t in range(cfg.trials):
-            tasks.append((cfg_r, cfg.seed, t))
-    results = _map_tasks(_sweep_rb_task, tasks, workers)
-    keyed = {(r, rec.trial): rec for r, rec in results}
-    rows = []
-    for r in r_set:
-        l_count = cfg_by_r[r].subsection_grid().l_count
-        for t in range(cfg.trials):
-            rec = keyed[(r, t)]
-            for u in rec.users:
-                rows.append({
-                    "r": r, "L": l_count, "trial": t,
-                    "user": u.user_id, "rate_bps": u.rate_bps,
-                })
+    configs = [replace(cfg, r=r).resolve() for r in r_set]
+    tasks = [(cfg_r, cfg.seed, t) for cfg_r in configs for t in range(cfg.trials)]
+    lines: list[tuple] = []
+    for (cfg_r, _seed, t), rec in zip(tasks, _map_tasks(_run_task, tasks, workers)):
+        lines.extend(zip(
+            repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
+            rec.users.tolist(), rec.rate_bps.tolist(),
+        ))
+    header = ["r", "L", "trial", "user", "rate_bps"]
     if out_dir is not None:
-        header = ["r", "L", "trial", "user", "rate_bps"]
         _write_outputs(
-            out_dir, "sweep_rb", cfg,
-            header, [[row[k] for k in header] for row in rows],
+            out_dir, "sweep_rb", cfg, header, lines,
             extra=[("r_values", ",".join(str(r) for r in r_set))],
         )
-    return rows
-
-
-def _sweep_rb_task(
-    args: tuple[ScenarioConfig, int, int]
-) -> tuple[int, TrialRecord]:
-    cfg_r, seed, trial = args
-    return cfg_r.r, run_trial(cfg_r, seed, trial)
+    return [dict(zip(header, line)) for line in lines]
 
 
 def heatmap(
@@ -496,19 +476,20 @@ def heatmap(
     and the matrix holds |normalized steering inner products| for its members.
     """
     served, _unserved, _rng = place_and_cluster(cfg, cfg.seed, 0)
-    groups: dict[tuple[int, int], list[int]] = {}  # positions, in user-id order
-    for i, key in enumerate(zip(served.sector.tolist(), served.subsection.tolist())):
-        groups.setdefault(key, []).append(i)
+    groups = cluster_users(
+        served.user_id, served.sector, served.section, served.subsection
+    )
+    sizes = np.diff(groups.starts)  # groups in (sector, cluster) order
     acfg = cfg.array_config()
     rows: list[list[object]]
-    if not groups or max(len(v) for v in groups.values()) < 2:
+    if np.max(sizes, initial=0) < 2:
         ids: list[int] = []
         matrix = np.zeros((0, 0))
         header = ["note"]
         rows = [["no cluster holds more than one user"]]
     else:
-        key = min(groups, key=lambda k: (-len(groups[k]), k))
-        members = groups[key]
+        g = int(np.argmax(sizes))  # the first of the fullest
+        members = groups.order[groups.starts[g]:groups.starts[g + 1]]
         ids = served.user_id[members].tolist()
         mu_phi = served.angles.mu_phi[members]
         mu_h = served.angles.mu_h[members]
@@ -516,7 +497,7 @@ def heatmap(
             mu_phi[:, None] - mu_phi, mu_h[:, None] - mu_h, acfg
         )
         header = ["user"] + [str(uid) for uid in ids]
-        rows = [[uid] + [float(x) for x in matrix[i]] for i, uid in enumerate(ids)]
+        rows = [[uid, *values] for uid, values in zip(ids, matrix.tolist())]
     if out_dir is not None:
         _write_outputs(out_dir, "heatmap", cfg, header, rows)
     return ids, matrix
@@ -532,23 +513,9 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    # np.float64 subclasses float, so numpy floats go first: repr() of one
-    # reads "np.float64(...)" under numpy >= 2
-    if isinstance(value, np.floating):
-        return repr(float(value))
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -14,7 +14,8 @@ TINY = Path(__file__).parent / "golden" / "tiny.cfg"
 
 class TestListOptions:
     """A bad --powers-dbm, --r or --workers exits 2 with one error line and
-    writes nothing, as a bad config key does."""
+    writes nothing, as a bad config key does. A power whose rho over- or
+    underflows (4000 dBm overflows the watts, -4000 gives 0 W) is bad."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -24,6 +25,8 @@ class TestListOptions:
             ["sweep-power", "--powers-dbm", "nan"],
             ["sweep-power", "--powers-dbm", "inf"],
             ["sweep-power", "--powers-dbm", "40,40.0"],
+            ["sweep-power", "--powers-dbm", "4000"],
+            ["sweep-power", "--powers-dbm", "40,-4000"],
             ["sweep-rb", "--r", "0"],
             ["sweep-rb", "--r", "x"],
             ["sweep-rb", "--r", "2,2"],
@@ -31,7 +34,7 @@ class TestListOptions:
             ["run", "--workers", "-3"],
         ],
         ids=["powers-40,abc", "powers-comma", "powers-nan", "powers-inf",
-             "powers-repeat", "r-0", "r-x", "r-repeat", "workers-0", "workers--3"],
+             "powers-repeat", "powers-4000", "powers--4000", "r-0", "r-x", "r-repeat", "workers-0", "workers--3"],
     )
     def test_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from conftest import deadline
@@ -97,6 +99,37 @@ class TestNonFinite:
             parse_config("noise_psd = -inf")
 
 
+def cli_rejects(config_bytes, tmp_path, capsys):
+    """cli.main on a config file: exit 2, one error line, no output."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(config_bytes)
+    out = tmp_path / "out"
+    with deadline(10.0):
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+    return lines[0]
+
+
+class TestPowerRange:
+    """A power whose rho over- or underflows is a ConfigError: before the
+    check, p_max = 1e308 made rho infinite and the greedy fill raised."""
+
+    @pytest.mark.parametrize("watts", [0.0, -1.0, 1e308, math.inf])
+    def test_rho_must_be_finite_and_positive(self, watts):
+        cfg = ScenarioConfig(bandwidth=1.8e6).resolve()
+        with pytest.raises(ConfigError, match="rho"):
+            cfg.rho(watts)
+
+    def test_huge_p_max(self, tmp_path, capsys):
+        error = cli_rejects(b"bandwidth = 1.8e6\np_max = 1e308\n", tmp_path, capsys)
+        assert "rho inf" in error
+
+
 class TestParse:
     def test_key_value_lines(self):
         cfg = parse_config("bandwidth = 20e6\nsigma_sf = 4, 6\n# note\n\nseed=9")
@@ -118,6 +151,13 @@ class TestParse:
         cfg = load_config(path)
         assert cfg.nbr == 100
         assert cfg.r == 3
+
+    def test_not_utf8(self, tmp_path, capsys):
+        # a UTF-16 byte order mark is not UTF-8
+        error = cli_rejects(b"\xff\xfebandwidth = 1.8e6\n", tmp_path, capsys)
+        assert "not UTF-8" in error
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(tmp_path / "bad.cfg")
 
     def test_load_default(self):
         assert load_config(None) == ScenarioConfig().resolve()
