@@ -106,8 +106,8 @@ _column = partial(field, repr=False, compare=False)
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One scored trial: its totals, then one array per user column, each
-    in user-id order."""
+    """One scored trial: trial-level results, then one array per user
+    column, each in user-id order."""
 
     trial: int
     sum_rate_bps: float
@@ -450,19 +450,19 @@ def sweep_rb(
     r_set = tuple(r_values) if r_values is not None else figure_r_values(cfg)
     configs = [replace(cfg, r=r).resolve() for r in r_set]
     tasks = [(cfg_r, cfg.seed, t) for cfg_r in configs for t in range(cfg.trials)]
-    lines: list[tuple] = []
+    rows: list[tuple] = []
     for (cfg_r, _seed, t), rec in zip(tasks, _map_tasks(_run_task, tasks, workers)):
-        lines.extend(zip(
+        rows.extend(zip(
             repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
             rec.users.tolist(), rec.rate_bps.tolist(),
         ))
     header = ["r", "L", "trial", "user", "rate_bps"]
     if out_dir is not None:
         _write_outputs(
-            out_dir, "sweep_rb", cfg, header, lines,
+            out_dir, "sweep_rb", cfg, header, rows,
             extra=[("r_values", ",".join(str(r) for r in r_set))],
         )
-    return [dict(zip(header, line)) for line in lines]
+    return [dict(zip(header, row)) for row in rows]
 
 
 def heatmap(
