@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hapsim.geometry import (
     element_indices,
     user_angles,
 )
+from hapsim import channel
 from hapsim.channel import (
     ChannelStats,
     _axis_nodes,
@@ -202,11 +205,66 @@ class TestLagDomainMatchesOracle:
         angles, beta = random_users(25, seed=sum(shape) + q)
         self.check(angles, spread, beta, cfg, q, rule)
 
-    def test_many_chunks(self):
-        # 700 users at 64 nodes each: ten full chunks and a partial one
+    @pytest.mark.parametrize("q", [16, 32, 64])
+    @pytest.mark.parametrize("spread_deg", [(2.0, 3.0), (20.0, 20.0)])
+    @pytest.mark.parametrize("rule", ["gauss", "midpoint"])
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (8, 8)])
+    def test_fine_quadrature(self, shape, rule, spread_deg, q):
+        # both azimuth factors: the moment series wherever its term count is
+        # below q (2 deg on 3x5 and 4x4 from q = 16, on 8x8 from q = 32;
+        # 20 deg on 3x5 and 4x4 from q = 32, on 8x8 at q = 64 only)
+        cfg = ArrayConfig(m_x=shape[0], m_y=shape[1], d_h=0.5, d_v=0.7)
+        spread = ScatteringSpread(*np.radians(spread_deg))
+        angles, beta = random_users(12, seed=sum(shape) + q)
+        self.check(angles, spread, beta, cfg, q, rule)
+
+    @pytest.mark.parametrize("q", [8, 32])
+    def test_many_chunks(self, q):
+        # 700 users: eleven chunks at q = 8, 39 of the series' at q = 32
         angles, beta = random_users(700, seed=4)
         spread = ScatteringSpread(np.radians(2.0), np.radians(2.0))
-        self.check(angles, spread, beta, ArrayConfig(d_h=0.45, d_v=0.6), 8, "gauss")
+        self.check(angles, spread, beta, ArrayConfig(d_h=0.45, d_v=0.6), q, "gauss")
+
+
+def direct_only(monkeypatch):
+    """Make correlation_matrices take the direct azimuth factor at any q."""
+    monkeypatch.setattr(channel, "_series_terms", lambda x_max, limit: limit)
+
+
+class TestAzimuthFactorChoice:
+    """The moment series replaces the direct azimuth factor only where its
+    term count is below the azimuth node count; elsewhere not a bit moves."""
+
+    def setup_method(self):
+        angles, self.beta = random_users(40, seed=9)
+        self.directions = directions(angles)
+        self.spread = ScatteringSpread(np.radians(2.0), np.radians(2.0))
+
+    def matrices(self, q):
+        return correlation_matrices(*self.directions, self.spread, self.beta, ArrayConfig(), q)
+
+    def test_q8_is_the_direct_routine(self, monkeypatch):
+        default = self.matrices(8)
+        direct_only(monkeypatch)
+        assert default.tobytes() == self.matrices(8).tobytes()
+
+    def test_q32_takes_the_series(self, monkeypatch):
+        series = self.matrices(32)
+        direct_only(monkeypatch)
+        direct = self.matrices(32)
+        assert not np.array_equal(series, direct)
+        assert np.max(np.abs(series - direct) / self.beta[:, None, None]) <= 1e-14
+
+    @pytest.mark.parametrize("shape, spread_deg, terms", [
+        ((4, 4), 2.0, 13), ((8, 8), 2.0, 17), ((4, 4), 20.0, 30), ((8, 8), 20.0, 45),
+    ])
+    def test_term_count(self, shape, spread_deg, terms):
+        # smallest N with X^N / N! <= 2^-53, X = (m_x - 1) * 2 pi * d_h * dphi
+        x_max = (shape[0] - 1) * 2.0 * np.pi * 0.5 * np.radians(spread_deg)
+        assert channel._series_terms(x_max, 100) == terms
+        assert x_max ** terms / math.factorial(terms) <= 2.0 ** -53
+        assert x_max ** (terms - 1) / math.factorial(terms - 1) > 2.0 ** -53
+        assert channel._series_terms(x_max, terms) == terms  # capped: direct
 
 
 class TestLargeScaleFading:
@@ -294,11 +352,13 @@ class TestBatchedMatchesLoop:
             [los_channel(f, a, self.cfg) for f, a in zip(loop, self.angles)],
         )
 
-    def test_covariances_and_draws(self):
+    @pytest.mark.parametrize("q", [6, 32])
+    def test_covariances_and_draws(self, q):
+        # q = 32 takes the moment series, whose chunks hold more users
         spread = ScatteringSpread(np.radians(2.0), np.radians(3.0))
         beta = np.linspace(0.5, 2.0, len(self.angles))
-        batch = correlation_matrices(*directions(self.angles), spread, beta, self.cfg, 6)
-        loop = [correlation_matrix(a, spread, b, self.cfg, 6)
+        batch = correlation_matrices(*directions(self.angles), spread, beta, self.cfg, q)
+        loop = [correlation_matrix(a, spread, b, self.cfg, q)
                 for a, b in zip(self.angles, beta)]
         assert np.array_equal(batch, loop)
         mean = np.full((len(self.angles), self.cfg.m_total), 0.5 - 0.25j)

@@ -1,15 +1,18 @@
 """CLI outputs pinned byte for byte against committed golden files.
 
-Three configs are pinned under every subcommand. tiny.cfg is the one
+Four configs are pinned under every subcommand. tiny.cfg is the one
 test_09 also runs: one user per cell, every time share 1 and no block
 reuse. reuse.cfg adds r = 3, which gives nbr 10 and L 4, so 12
 cluster-blocks wrap onto 10 blocks. disk.cfg adds users_per_trial = 150:
-crowded cells time-share, with shares from 1/26 to 1. sweep-rb runs
+crowded cells time-share, with shares from 1/26 to 1. q32.cfg is tiny.cfg
+at quadrature_points = 32, where the covariance takes its azimuth factor
+from the moment series instead of one phasor per node pair. sweep-rb runs
 r = 2, 3, 1, out of order and with the wrapped r = 3, on each; the --r
 list overrides the config's r, so the tiny and reuse CSVs agree and only
 their meta.txt differs. The tiny goldens were last rewritten when the
 one-ring covariance moved to its lag-domain form, which changes
-floating-point rounding; refactors must not move a single output byte.
+floating-point rounding; the q32 goldens were written when the moment
+series came in. Refactors must not move a single output byte.
 Regenerate them only for a deliberate output change, and say why in
 CHANGES.md:
 
@@ -31,6 +34,12 @@ CHANGES.md:
     hapsim heatmap --config tests/golden/tiny.cfg --out tests/golden/heatmap
     hapsim heatmap --config tests/golden/reuse.cfg --out tests/golden/reuse/heatmap
     hapsim heatmap --config tests/golden/disk.cfg --out tests/golden/disk/heatmap
+    hapsim run --config tests/golden/q32.cfg --out tests/golden/q32/run
+    hapsim sweep-power --powers-dbm 40,46 --config tests/golden/q32.cfg \\
+        --out tests/golden/q32/sweep_power
+    hapsim sweep-rb --r 2,3,1 --config tests/golden/q32.cfg \\
+        --out tests/golden/q32/sweep_rb
+    hapsim heatmap --config tests/golden/q32.cfg --out tests/golden/q32/heatmap
 """
 
 import argparse
@@ -50,7 +59,8 @@ COMMANDS = {
 }
 
 # config name -> directory holding its <command>/ goldens
-CONFIGS = {"tiny": GOLDEN, "reuse": GOLDEN / "reuse", "disk": GOLDEN / "disk"}
+CONFIGS = {"tiny": GOLDEN, "reuse": GOLDEN / "reuse", "disk": GOLDEN / "disk",
+           "q32": GOLDEN / "q32"}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -58,7 +68,7 @@ def test_cli_output_matches_golden(name, tmp_path):
     check_golden("tiny", name, tmp_path)
 
 
-@pytest.mark.parametrize("config", ["reuse", "disk"])
+@pytest.mark.parametrize("config", ["reuse", "disk", "q32"])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_golden_on(config, name, tmp_path):
     check_golden(config, name, tmp_path)
