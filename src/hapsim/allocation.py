@@ -28,6 +28,10 @@ class PowerBudgetError(ValueError):
         )
 
 
+class PowerRangeError(ValueError):
+    """A QoS floor coefficient is not finite: rho times a gain underflows."""
+
+
 @dataclass(frozen=True)
 class QoSSpec:
     """Per-user rate floor (bits/s/Hz) and greedy step size."""
@@ -121,9 +125,17 @@ def assign_resource_blocks(
 
 
 def _floor_coefficients(gains: np.ndarray, rho: float, qos: QoSSpec) -> np.ndarray:
-    """Omega_min = (2^r_min - 1) / (rho * g) per user."""
-    with np.errstate(divide="ignore"):
-        return (2.0 ** qos.r_min - 1.0) / (rho * gains)
+    """Omega_min = (2^r_min - 1) / (rho * g) per user; PowerRangeError
+    unless every one is finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        floors = (2.0 ** qos.r_min - 1.0) / (rho * gains)
+    bad = np.flatnonzero(~np.isfinite(floors))
+    if len(bad):
+        raise PowerRangeError(
+            f"rho {rho!r} times gain {float(gains[bad[0]])!r} gives QoS floor "
+            f"{float(floors[bad[0]])!r}"
+        )
+    return floors
 
 
 def min_power_coefficients(
@@ -135,18 +147,19 @@ def min_power_coefficients(
 ) -> np.ndarray:
     """Omega_min = (2^r_min - 1) / (rho * g) per user, in the gains' order.
 
-    Raises PowerBudgetError when even these floors break the budget.
+    Raises PowerBudgetError when even these floors break the budget, and
+    PowerRangeError when one is not finite.
     """
     if rho <= 0:
         raise ValueError("rho must be > 0")
     if p_max <= 0 or p_total <= 0:
         raise ValueError("power levels must be > 0")
-    floors = _floor_coefficients(gains, rho, qos)
     bad = np.flatnonzero(gains <= 0)
     if len(bad):
         raise ValueError(
             f"user at position {bad[0]} has non-positive gain {gains[bad[0]]}"
         )
+    floors = _floor_coefficients(gains, rho, qos)
     margin = p_max * sum(floors.tolist()) - p_total
     if margin > 0:
         raise PowerBudgetError(margin)

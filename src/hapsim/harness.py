@@ -23,6 +23,7 @@ import numpy as np
 
 from .allocation import (
     PowerBudgetError,
+    PowerRangeError,
     ResourcePlan,
     assign_resource_blocks,
     cluster_users,
@@ -312,6 +313,8 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         )
     except PowerBudgetError:
         power = scaled_min_power(state.gain, rho, qos, p_max, p_total)
+    except PowerRangeError as exc:
+        raise ConfigError(f"p_max {p_max!r} W: {exc}") from None
     report, constraints = evaluate_objective(
         state.users, state.plan, power, qos, rho, cfg.bw_rb,
         state.gain, state.interference,

@@ -13,6 +13,7 @@ from hapsim.dofgrid import GridCell
 from hapsim.allocation import (
     PowerAllocation,
     PowerBudgetError,
+    PowerRangeError,
     QoSSpec,
     assign_resource_blocks,
     cluster_users,
@@ -151,6 +152,14 @@ class TestMinPower:
         with pytest.raises(PowerBudgetError) as err:
             min_power_coefficients(np.array([1.0, 1.0]), 1.0, QoSSpec(r_min=1.0), 1.0, 1.5)
         assert err.value.margin == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("fn", [min_power_coefficients, scaled_min_power])
+    def test_underflowing_gain_raises(self, fn):
+        # rho * g is subnormal, so the floor overflows; scaled_min_power used
+        # to return inf * 0 = nan
+        gains = np.array([1.0, 1e-14])
+        with pytest.raises(PowerRangeError, match="gain 1e-14 gives QoS floor inf"):
+            fn(gains, 1e-299, QoSSpec(r_min=1.0), 1e-313, 1e-313)
 
     def test_scaled_fallback(self):
         alloc = scaled_min_power(np.array([1.0, 1.0]), 1.0, QoSSpec(r_min=1.0), 1.0, 1.5)

@@ -15,7 +15,9 @@ TINY = Path(__file__).parent / "golden" / "tiny.cfg"
 class TestListOptions:
     """A bad --powers-dbm, --r or --workers exits 2 with one error line and
     writes nothing, as a bad config key does. A power whose rho over- or
-    underflows (4000 dBm overflows the watts, -4000 gives 0 W) is bad."""
+    underflows (4000 dBm overflows the watts, -4000 gives 0 W) is bad, and
+    so is one whose rho is positive but times a user's gain underflows
+    (-3100 dBm: rho about 1e-299, so a QoS floor is infinite)."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -27,6 +29,7 @@ class TestListOptions:
             ["sweep-power", "--powers-dbm", "40,40.0"],
             ["sweep-power", "--powers-dbm", "4000"],
             ["sweep-power", "--powers-dbm", "40,-4000"],
+            ["sweep-power", "--powers-dbm", "-3100"],
             ["sweep-rb", "--r", "0"],
             ["sweep-rb", "--r", "x"],
             ["sweep-rb", "--r", "2,2"],
@@ -34,7 +37,7 @@ class TestListOptions:
             ["run", "--workers", "-3"],
         ],
         ids=["powers-40,abc", "powers-comma", "powers-nan", "powers-inf",
-             "powers-repeat", "powers-4000", "powers--4000", "r-0", "r-x", "r-repeat", "workers-0", "workers--3"],
+             "powers-repeat", "powers-4000", "powers--4000", "powers--3100", "r-0", "r-x", "r-repeat", "workers-0", "workers--3"],
     )
     def test_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -46,6 +49,21 @@ class TestListOptions:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
+
+
+def test_floor_overflow_in_config_is_rejected(tmp_path, capsys):
+    # p_max = 1e-313 W passes the rho check, but rho * gain underflows
+    config = tmp_path / "tiny_power.cfg"
+    config.write_text(TINY.read_text() + "p_max = 1e-313\n")
+    out = tmp_path / "out"
+    with deadline(10.0):
+        code = cli.main(["run", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: p_max 1e-313 W: ")
+    assert not out.exists()
 
 
 def run_cli(argv, out, capsys):
