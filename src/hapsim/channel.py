@@ -206,10 +206,8 @@ def _azimuth_series(az, phis, w_phi, sin_th, d_h, centers, n_terms):
     series.real = acc[:, 0]
     np.multiply(x, acc[:, 1], out=series.imag)
     phasor = _unit_phasors(kappa * np.cos(centers)[:, None])
-    power = phasor
     for di in range(1, az.shape[1]):
-        if di > 1:
-            power = power * phasor
+        power = phasor if di == 1 else power * phasor
         np.multiply(series[:, di - 1], power, out=az[:, di])
 
 

@@ -218,9 +218,15 @@ class TestLagDomainMatchesOracle:
         angles, beta = random_users(12, seed=sum(shape) + q)
         self.check(angles, spread, beta, cfg, q, rule)
 
-    @pytest.mark.parametrize("q", [8, 32])
-    def test_many_chunks(self, q):
-        # 700 users: eleven chunks at q = 8, 39 of the series' at q = 32
+    def test_many_chunks(self):
+        # 700 users at 64 nodes each: ten full chunks and a partial one
+        self.check_many_chunks(8)
+
+    def test_many_chunks_series(self):
+        # the moment series at q = 32: 38 chunks of 18 users and a partial one
+        self.check_many_chunks(32)
+
+    def check_many_chunks(self, q):
         angles, beta = random_users(700, seed=4)
         spread = ScatteringSpread(np.radians(2.0), np.radians(2.0))
         self.check(angles, spread, beta, ArrayConfig(d_h=0.45, d_v=0.6), q, "gauss")
@@ -352,9 +358,14 @@ class TestBatchedMatchesLoop:
             [los_channel(f, a, self.cfg) for f, a in zip(loop, self.angles)],
         )
 
-    @pytest.mark.parametrize("q", [6, 32])
-    def test_covariances_and_draws(self, q):
-        # q = 32 takes the moment series, whose chunks hold more users
+    def test_covariances_and_draws(self):
+        self.check_covariances_and_draws(6)
+
+    def test_covariances_and_draws_series(self):
+        # q = 32 takes the moment series, 21 users a chunk
+        self.check_covariances_and_draws(32)
+
+    def check_covariances_and_draws(self, q):
         spread = ScatteringSpread(np.radians(2.0), np.radians(3.0))
         beta = np.linspace(0.5, 2.0, len(self.angles))
         batch = correlation_matrices(*directions(self.angles), spread, beta, self.cfg, q)
