@@ -105,26 +105,20 @@ def los_channel(
 
 
 @lru_cache(maxsize=16)
-def _reference_nodes(n: int, rule: str):
-    """Nodes and weights on [-1, 1]; cached, node generation dominates otherwise."""
-    if rule == "gauss":
-        t, w = np.polynomial.legendre.leggauss(n)
-    elif rule == "midpoint":
-        t = (2.0 * np.arange(n) + 1.0) / n - 1.0
-        w = np.full(n, 2.0 / n)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+def _reference_nodes(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; cached, leggauss dominates otherwise."""
+    t, w = np.polynomial.legendre.leggauss(n)
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
 
 
-def _axis_nodes(centers: np.ndarray, half_width: float, n: int, rule: str):
+def _axis_nodes(centers: np.ndarray, half_width: float, n: int):
     """Per-center quadrature nodes on [c-hw, c+hw], shape (len(centers), n),
     and their normalized weights (summing to 1)."""
     if half_width == 0.0:
         return centers[:, None], np.array([1.0])
-    t, w = _reference_nodes(n, rule)
+    t, w = _reference_nodes(n)
     return centers[:, None] + half_width * t, w / 2.0
 
 
@@ -218,7 +212,6 @@ def correlation_matrices(
     beta_nlos: np.ndarray,
     cfg: ArrayConfig,
     quadrature_points: int = 32,
-    rule: str = "gauss",
 ) -> np.ndarray:
     """Batched one-ring covariance matrices, shape (len(azimuth), M, M),
     one per user direction (azimuth[u], elevation[u]).
@@ -228,11 +221,11 @@ def correlation_matrices(
         beta_u / (4*dphi*dth) * integral over [phi_u +- dphi] x [th_u +- dth]
         of exp(j * k(phi, th)^T (pos_a - pos_b)) dphi dth
 
-    with k the array wave vector, evaluated by a tensor-product rule. On a
-    UPA the integrand depends only on the lag (di, dj) = (i_a - i_b,
-    j_a - j_b), so the rule is applied to the (2*m_x - 1)(2*m_y - 1)
-    distinct lags and the block-Toeplitz matrix is gathered from them,
-    C[a, b] = beta * L(i_a - i_b, j_a - j_b) with
+    with k the array wave vector, evaluated by a Gauss-Legendre product rule
+    of quadrature_points nodes per axis. On a UPA the integrand depends only
+    on the lag (di, dj) = (i_a - i_b, j_a - j_b), so the rule is applied to
+    the (2*m_x - 1)(2*m_y - 1) distinct lags and the block-Toeplitz matrix
+    is gathered from them, C[a, b] = beta * L(i_a - i_b, j_a - j_b) with
 
         L(di, dj) = sum_th w_th y(th)^dj az(di, th),
         az(di, th) = sum_phi w_phi z(phi, th)^di,
@@ -292,8 +285,8 @@ def correlation_matrices(
     step = max(1, _CHUNK_ENTRIES // per_user)
     for lo in range(0, len(azimuth), step):
         hi = lo + step
-        phis, w_phi = _axis_nodes(azimuth[lo:hi], spread.delta_phi, quadrature_points, rule)
-        thes, w_th = _axis_nodes(elevation[lo:hi], spread.delta_theta, quadrature_points, rule)
+        phis, w_phi = _axis_nodes(azimuth[lo:hi], spread.delta_phi, quadrature_points)
+        thes, w_th = _axis_nodes(elevation[lo:hi], spread.delta_theta, quadrature_points)
         # azimuth lag factor, summed over phi: az[u, di, th] for di = 0..m_x-1
         az = np.empty((len(phis), m_x, n_th), dtype=complex)
         az[:, 0] = w_phi.sum()

@@ -39,7 +39,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=None,
                    help="override the trial count")
     p.add_argument("--workers", type=int, default=1,
-                   help="process count for trial parallelism")
+                   help="process count for trial parallelism; at most one "
+                        "process per task and per usable CPU is started")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -61,8 +61,6 @@ class ScenarioConfig:
     spread_phi_deg: float = 2.0
     spread_theta_deg: float = 2.0
     quadrature_points: int = 32
-    quadrature_rule: str = "gauss"
-    subsection_rule: str = "square"
     users_per_trial: int | None = None
     trials: int = 10
     seed: int = 42
@@ -126,9 +124,7 @@ class ScenarioConfig:
     def subsection_grid(self) -> SubsectionGrid:
         if self.nbr is None:
             raise ConfigError("subsection_grid requires a resolved config")
-        return subsections_per_section(
-            self.nbr, self.r, self.array_config(), rule=self.subsection_rule
-        )
+        return subsections_per_section(self.nbr, self.r, self.array_config())
 
     def full_occupancy(self) -> int:
         grid = self.section_grid()
@@ -195,10 +191,6 @@ class ScenarioConfig:
             raise ConfigError("sigma_sf must be two values >= 0")
         if self.spread_phi_deg < 0 or self.spread_theta_deg < 0:
             raise ConfigError("spread_phi_deg and spread_theta_deg must be >= 0")
-        if self.quadrature_rule not in ("gauss", "midpoint"):
-            raise ConfigError("quadrature_rule must be 'gauss' or 'midpoint'")
-        if self.subsection_rule not in ("square", "division"):
-            raise ConfigError("subsection_rule must be 'square' or 'division'")
         if self.nbr is not None and self.nbr * self.bw_rb > self.bandwidth + self.bw_rb:
             raise ConfigError("nbr does not fit in bandwidth at bw_rb")
         if self.r > (self.nbr or self.r):
@@ -215,13 +207,6 @@ class ScenarioConfig:
                 f"and haps_altitude={self.haps_altitude} gives zero elevation "
                 "resolution bins"
             )
-        # the subsection rule must actually accept (nbr, r)
-        try:
-            subsections_per_section(
-                self.nbr, self.r, self.array_config(), rule=self.subsection_rule
-            )
-        except ValueError as exc:
-            raise ConfigError(f"nbr={self.nbr}, r={self.r}: {exc}") from exc
 
     # -- serialization --------------------------------------------------------
 
@@ -243,7 +228,6 @@ class ScenarioConfig:
 
 _INT_KEYS = {"nbr", "r", "m_x", "m_y", "n_sectors", "quadrature_points",
              "users_per_trial", "trials", "seed"}
-_STR_KEYS = {"quadrature_rule", "subsection_rule"}
 _TUPLE_KEYS = {"sigma_sf"}
 _ALL_KEYS = {f.name for f in fields(ScenarioConfig)}
 
@@ -263,9 +247,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if key not in _ALL_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _STR_KEYS:
-                values[key] = val
-            elif key in _TUPLE_KEYS:
+            if key in _TUPLE_KEYS:
                 values[key] = tuple(float(x) for x in val.split(","))
             elif key in _INT_KEYS:
                 values[key] = int(val)

@@ -83,35 +83,19 @@ def dof_elevation(m_y: int, coverage_radius: float, altitude: float) -> int:
     return int(np.floor(m_y * width / 2.0 + _FLOOR_EPS))
 
 
-def subsections_per_section(
-    nbr: int, r: int, cfg: ArrayConfig, rule: str = "square"
-) -> SubsectionGrid:
+def subsections_per_section(nbr: int, r: int, cfg: ArrayConfig) -> SubsectionGrid:
     """Number of subsections L for nbr resource blocks at r blocks per user.
 
-    rule="square" (default): s = round(sqrt(nbr / r)), L = s^2, keeping the
-    subsection grid square; L * r may then slightly exceed nbr, handled by
-    modulo block reuse. rule="division": L = nbr // r, accepted only when
-    that is a perfect square.
+    s = round(sqrt(nbr / r)), L = s^2, keeping the subsection grid square;
+    L * r may then slightly exceed nbr, handled by modulo block reuse.
     """
     if nbr < 1:
         raise ValueError("nbr must be >= 1")
     if not 1 <= r <= nbr:
         raise ValueError(f"r={r} outside 1..nbr={nbr}")
-    if rule == "square":
-        s = int(np.floor(np.sqrt(nbr / r) + 0.5))  # round half up
-        l_count = s * s
-    elif rule == "division":
-        l_count = nbr // r
-        s = int(np.sqrt(l_count) + 0.5)
-        if s * s != l_count:
-            raise ValueError(
-                f"nbr // r = {l_count} is not a perfect square; "
-                "pure-division mode needs a square subsection count"
-            )
-    else:
-        raise ValueError(f"unknown subsection rule {rule!r}")
+    s = int(np.floor(np.sqrt(nbr / r) + 0.5))  # round half up
     return SubsectionGrid(
-        l_count=l_count,
+        l_count=s * s,
         per_axis=s,
         delta_phi=2.0 / (cfg.m_x * s),
         delta_h=2.0 / (cfg.m_y * s),

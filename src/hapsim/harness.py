@@ -12,6 +12,7 @@ order until the CSV text is built from them.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -267,7 +268,6 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
                 fading.beta_nlos,
                 acfg,
                 quadrature_points=cfg.quadrature_points,
-                rule=cfg.quadrature_rule,
             ),
         ),
         rng,
@@ -510,7 +510,11 @@ def heatmap(
 
 
 def _map_tasks(fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    # a process pool starts all of its workers at the first submit, so ask
+    # for no more than there are tasks and CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(tasks), cpus or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))

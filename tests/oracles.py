@@ -52,7 +52,7 @@ def array_wave_vector(azimuth: float, elevation: float, wavelength: float) -> np
     return wave_vector(azimuth - np.pi / 2.0, elevation - np.pi / 2.0, wavelength)
 
 
-def correlation_matrix(angles, spread, beta_nlos, cfg, quadrature_points=32, rule="gauss"):
+def correlation_matrix(angles, spread, beta_nlos, cfg, quadrature_points=32):
     """One-ring covariance of a single user; see correlation_matrices."""
     return correlation_matrices(
         np.array([float(angles.azimuth)]),
@@ -61,7 +61,6 @@ def correlation_matrix(angles, spread, beta_nlos, cfg, quadrature_points=32, rul
         np.array([float(beta_nlos)]),
         cfg,
         quadrature_points,
-        rule,
     )[0]
 
 

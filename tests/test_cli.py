@@ -1,4 +1,5 @@
-"""Command line front end: list options and the printed summaries."""
+"""Command line front end: list options, the printed summaries and the
+--workers pool size."""
 
 import csv
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import deadline
-from hapsim import cli
+from hapsim import cli, harness
 
 TINY = Path(__file__).parent / "golden" / "tiny.cfg"
 
@@ -113,56 +114,54 @@ class TestSummaries:
         ]
 
 
-def test_quadrature_rule_reaches_the_run(tmp_path, capsys):
-    # the config key, not only a keyword argument, selects the rule
-    midpoint = tmp_path / "midpoint.cfg"
-    midpoint.write_text(TINY.read_text() + "quadrature_rule = midpoint\n")
-    outputs = {}
-    for name, config in (("gauss", TINY), ("midpoint", midpoint)):
-        out = tmp_path / name
-        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-        meta = (out / "meta.txt").read_text().splitlines()
-        assert f"quadrature_rule = {name}" in meta
-        outputs[name] = (out / "run.csv").read_bytes()
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def pool_sizes(monkeypatch, tmp_path, capsys, trials, workers):
+    """max_workers of every pool a run at --workers asks for; its bytes
+    must be those of --workers 1."""
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    outputs = []
+    for n in (workers, 1):
+        out = tmp_path / f"w{n}"
+        argv = ["run", "--trials", str(trials), "--workers", str(n)]
+        assert cli.main(argv + ["--config", str(TINY), "--out", str(out)]) == 0
+        outputs.append((out / "run.csv").read_bytes())
     capsys.readouterr()
-    assert outputs["midpoint"] != outputs["gauss"]
+    assert outputs[0] == outputs[1]
+    return RecordingPool.sizes
 
 
-class TestSubsectionRule:
-    """subsection_rule = division from the config, through cli.main."""
+@pytest.mark.parametrize(
+    "trials, workers, cpus, expected",
+    [(2, 64, 8, [2]), (5, 64, 3, [3]), (5, 4, 8, [4]), (5, 64, 1, []), (1, 64, 8, [])],
+)
+def test_workers_clamped_to_tasks_and_cpus(monkeypatch, tmp_path, capsys,
+                                           trials, workers, cpus, expected):
+    # no pool larger than the task count or the usable CPUs, and none at all
+    # where that leaves one process
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert pool_sizes(monkeypatch, tmp_path, capsys, trials, workers) == expected
 
-    def run(self, tmp_path, name, text):
-        config = tmp_path / f"{name}.cfg"
-        config.write_text(text)
-        out = tmp_path / name
-        code = cli.main(["run", "--config", str(config), "--out", str(out)])
-        return code, out
 
-    def test_division_equals_square_when_square(self, tmp_path, capsys):
-        # 10 MHz, r = 2: nbr // r = 25 is square, so both rules give L = 25
-        base = "bandwidth = 10e6\nr = 2\nquadrature_points = 2\ntrials = 1\n"
-        outputs = {}
-        for rule in ("square", "division"):
-            code, out = self.run(tmp_path, rule, base + f"subsection_rule = {rule}\n")
-            assert code == 0
-            outputs[rule] = (
-                (out / "run.csv").read_bytes(), (out / "meta.txt").read_text().splitlines()
-            )
-        capsys.readouterr()
-        assert outputs["division"][0] == outputs["square"][0]
-        square, division = outputs["square"][1], outputs["division"][1]
-        assert len(square) == len(division)
-        differ = [a.split(" = ")[0] for a, b in zip(square, division) if a != b]
-        assert differ == ["subsection_rule", "fingerprint"]
-
-    def test_division_rejects_a_non_square(self, tmp_path, capsys):
-        # 10 MHz, r = 1: nbr // r = 50 is not a square
-        code, out = self.run(
-            tmp_path, "division", "bandwidth = 10e6\nr = 1\nsubsection_rule = division\n"
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert not out.exists()
+def test_workers_clamped_to_cpu_count_without_affinity(monkeypatch, tmp_path, capsys):
+    # where os has no sched_getaffinity (macOS, Windows), os.cpu_count() bounds the pool
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert pool_sizes(monkeypatch, tmp_path, capsys, 5, 64) == [3]

@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,19 @@ FLOAT_KEYS = (
     "noise_figure", "sigma_sf", "nlos_penalty_db", "spread_phi_deg",
     "spread_theta_deg",
 )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_table_lists_every_key():
+    # the configuration table's key column names each field once, and no other
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| key | default | meaning |"):].split("\n\n", 1)[0]
+    keys = [key for row in table.splitlines()[2:]
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {f.name for f in fields(ScenarioConfig)}
 
 
 class TestDefaults:
@@ -90,9 +106,9 @@ class TestNonFinite:
         assert not (tmp_path / "out").exists()
 
     def test_keys_are_every_float_field(self):
-        from hapsim.config import _ALL_KEYS, _INT_KEYS, _STR_KEYS
+        from hapsim.config import _ALL_KEYS, _INT_KEYS
 
-        assert set(FLOAT_KEYS) == _ALL_KEYS - _INT_KEYS - _STR_KEYS
+        assert set(FLOAT_KEYS) == _ALL_KEYS - _INT_KEYS
 
     def test_negative_infinity(self):
         with pytest.raises(ConfigError, match="noise_psd must be finite"):
@@ -140,6 +156,13 @@ class TestParse:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 1: unknown key 'bogus'"):
             parse_config("bogus = 3")
+
+    @pytest.mark.parametrize("line", ["quadrature_rule = gauss", "subsection_rule = square"])
+    def test_removed_rule_key(self, line, tmp_path, capsys):
+        # Gauss-Legendre nodes and the square subsection count are the only
+        # rules, so a config that still names either key fails
+        error = cli_rejects(f"bandwidth = 1.8e6\n{line}\n".encode(), tmp_path, capsys)
+        assert error == f"error: line 2: unknown key {line.split(' = ')[0]!r}"
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(ConfigError, match="line 2"):

@@ -81,14 +81,6 @@ class TestSubsections:
         assert g.delta_phi == pytest.approx(2 / (4 * 5))
         assert g.delta_h == pytest.approx(2 / (2 * 5))
 
-    def test_division_rule(self):
-        cfg = ArrayConfig()
-        g = subsections_per_section(50, 2, cfg, rule="division")
-        assert g.l_count == 25
-        assert subsections_per_section(50, 3, cfg, rule="division").l_count == 16
-        with pytest.raises(ValueError):
-            subsections_per_section(50, 4, cfg, rule="division")  # 12 not square
-
     def test_bad_r(self):
         with pytest.raises(ValueError):
             subsections_per_section(50, 0, ArrayConfig())

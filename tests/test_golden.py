@@ -12,7 +12,10 @@ list overrides the config's r, so the tiny and reuse CSVs agree and only
 their meta.txt differs. The tiny goldens were last rewritten when the
 one-ring covariance moved to its lag-domain form, which changes
 floating-point rounding; the q32 goldens were written when the moment
-series came in. Refactors must not move a single output byte.
+series came in. Every meta.txt was rewritten when the config keys
+quadrature_rule and subsection_rule were removed, which took two lines
+out of each and changed its fingerprint; no CSV byte moved. Refactors
+must not move a single output byte.
 Regenerate them only for a deliberate output change, and say why in
 CHANGES.md:
 
