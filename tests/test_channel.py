@@ -182,15 +182,25 @@ def random_users(n, seed):
     return angles, 10.0 ** rng.uniform(-14.0, -10.0, n)
 
 
-def gauss_ids(n):
-    # "gauss" stays in the ids, so each case keeps the name it had while a
-    # midpoint rule was tested beside it
-    return [f"shape{i}-gauss" for i in range(n)]
+def midpoint_nodes(n):
+    """Midpoint nodes and weights on [-1, 1], a second node family beside the
+    library's Gauss-Legendre one."""
+    t = (2.0 * np.arange(n) + 1.0) / n - 1.0
+    return t, np.full(n, 2.0 / n)
 
 
 class TestLagDomainMatchesOracle:
     """The lag-domain quadrature equals the element-domain formula to
-    1e-13 * beta per entry, and every matrix is exactly Hermitian."""
+    1e-13 * beta per entry, and every matrix is exactly Hermitian.
+
+    The identity must hold for any node set, so each case also runs on
+    midpoint nodes in place of the Gauss-Legendre ones; this catches a
+    lag-domain step that leans on a property of the Gauss rule alone."""
+
+    @staticmethod
+    def use_rule(monkeypatch, rule):
+        if rule == "midpoint":
+            monkeypatch.setattr(channel, "_reference_nodes", midpoint_nodes)
 
     @staticmethod
     def check(angles, spread, beta, cfg, q):
@@ -201,9 +211,10 @@ class TestLagDomainMatchesOracle:
 
     @pytest.mark.parametrize("q", [1, 5])
     @pytest.mark.parametrize("spread_deg", [(2.0, 3.0), (0.0, 3.0), (2.0, 0.0), (0.0, 0.0)])
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 5), (4, 4), (8, 8)],
-                             ids=gauss_ids(5))
-    def test_configs(self, shape, spread_deg, q):
+    @pytest.mark.parametrize("rule", ["gauss", "midpoint"])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (3, 5), (4, 4), (8, 8)])
+    def test_configs(self, shape, rule, spread_deg, q, monkeypatch):
+        self.use_rule(monkeypatch, rule)
         cfg = ArrayConfig(m_x=shape[0], m_y=shape[1], d_h=0.5, d_v=0.7)
         spread = ScatteringSpread(*np.radians(spread_deg))
         angles, beta = random_users(25, seed=sum(shape) + q)
@@ -211,8 +222,10 @@ class TestLagDomainMatchesOracle:
 
     @pytest.mark.parametrize("q", [16, 32, 64])
     @pytest.mark.parametrize("spread_deg", [(2.0, 3.0), (20.0, 20.0)])
-    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (8, 8)], ids=gauss_ids(3))
-    def test_fine_quadrature(self, shape, spread_deg, q):
+    @pytest.mark.parametrize("rule", ["gauss", "midpoint"])
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (8, 8)])
+    def test_fine_quadrature(self, shape, rule, spread_deg, q, monkeypatch):
+        self.use_rule(monkeypatch, rule)
         # both azimuth factors: the moment series wherever its term count is
         # below q (2 deg on 3x5 and 4x4 from q = 16, on 8x8 from q = 32;
         # 20 deg on 3x5 and 4x4 from q = 32, on 8x8 at q = 64 only)
