@@ -138,71 +138,34 @@ def _unit_phasors(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_terms(x_max: float, limit: int) -> int:
-    """Smallest N with x_max^N / N! <= 2^-53, or `limit` if N would reach it."""
-    n, term = 0, 1.0
-    while term > 2.0 ** -53 and n < limit:
-        n += 1
-        term *= x_max / n
-    return n
+def converged_nodes(spread: ScatteringSpread, cfg: ArrayConfig, limit: int) -> int:
+    """Gauss-Legendre nodes per axis at which the covariance has converged
+    to rounding, at most `limit`.
 
-
-@lru_cache(maxsize=16)
-def _series_scale(n_terms: int) -> np.ndarray:
-    """(-1)^floor(n/2) / n! for n < n_terms: the real factor of j^n / n!."""
-    scale = np.array([(-1.0) ** (n // 2) / math.factorial(n) for n in range(n_terms)])
-    scale.setflags(write=False)
-    return scale
-
-
-def _azimuth_direct(az, phis, w_phi, sin_th, d_h):
-    """az[u, di, th] = sum_phi w_phi z^di, z = exp(-2j*pi*d_h*sin(th)*cos(phi)),
-    from one phasor per (phi, th) node and repeated multiplication."""
-    z = _unit_phasors((-2.0 * np.pi * d_h) * sin_th[:, None, :] * np.cos(phis)[:, :, None])
-    for di in range(1, az.shape[1]):
-        power = z if di == 1 else power * z
-        np.matmul(w_phi, power, out=az[:, di])
-
-
-def _azimuth_series(az, phis, w_phi, sin_th, d_h, centers, n_terms):
-    """The same factor from n_terms moments of cos(phi) about cos(phi_u).
-
-    With x = di*kappa, kappa = -2*pi*d_h*sin(th), delta = cos(phi) - cos(phi_u),
-
-        az = exp(j*x*cos(phi_u)) * sum_n (j*x)^n / n! * mu_n,
-        mu_n = sum_phi w_phi delta^n,
-
-    summed as two real Horner polynomials in x^2 (even and odd n), times
-    one phasor per th node raised to the power di. delta is taken as
-    -2 sin((phi + phi_u)/2) sin((phi - phi_u)/2), free of cancellation.
+    Per axis this is the smallest n whose remainder for exp(j*a*t) on
+    [-1, 1], 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * a^(2n), is at most
+    2^-53 (Davis & Rabinowitz, Methods of Numerical Integration). The
+    phase amplitudes are a_phi = (m_x - 1)*2*pi*d_h*dphi in azimuth and
+    a_th = 2*pi*((m_x - 1)*d_h + (m_y - 1)*d_v)*dth in elevation. The
+    remainder grows with a, so the larger amplitude sets the count of
+    both axes; it is evaluated in logs, since (2n)! overflows a float.
     """
-    half_sum = 0.5 * (phis + centers[:, None])
-    half_gap = 0.5 * (phis - centers[:, None])
-    delta = -2.0 * np.sin(half_sum) * np.sin(half_gap)
-    powers = np.empty(delta.shape + (n_terms,))
-    powers[..., 0] = 1.0
-    powers[..., 1:] = delta[..., None]
-    np.multiply.accumulate(powers, axis=2, out=powers)
-    # coef[u, k, parity] = (-1)^k * mu_(2k+parity) / (2k+parity)!, zero-padded
-    n_pairs = (n_terms + 1) // 2
-    coef = np.zeros((len(phis), 2 * n_pairs))
-    coef[:, :n_terms] = np.matmul(w_phi, powers) * _series_scale(n_terms)
-    coef = coef.reshape(len(phis), n_pairs, 2)[..., None, None]
-    kappa = (-2.0 * np.pi * d_h) * sin_th
-    x = np.arange(1, az.shape[1])[:, None] * kappa[:, None, :]
-    x2 = (x * x)[:, None]
-    acc = np.empty((len(phis), 2) + x.shape[1:])
-    acc[...] = coef[:, n_pairs - 1]
-    for k in range(n_pairs - 2, -1, -1):
-        acc *= x2
-        acc += coef[:, k]
-    series = np.empty(x.shape, dtype=complex)
-    series.real = acc[:, 0]
-    np.multiply(x, acc[:, 1], out=series.imag)
-    phasor = _unit_phasors(kappa * np.cos(centers)[:, None])
-    for di in range(1, az.shape[1]):
-        power = phasor if di == 1 else power * phasor
-        np.multiply(series[:, di - 1], power, out=az[:, di])
+    a = 2.0 * math.pi * max(
+        (cfg.m_x - 1) * cfg.d_h * spread.delta_phi,
+        ((cfg.m_x - 1) * cfg.d_h + (cfg.m_y - 1) * cfg.d_v) * spread.delta_theta,
+    )
+    if a == 0.0:  # no phase varies over the box: zero spreads or one element
+        return 1
+    n = 1
+    while n < limit:
+        log_remainder = (
+            (2 * n + 1) * math.log(2.0) + 4.0 * math.lgamma(n + 1)
+            - math.log(2 * n + 1) - 3.0 * math.lgamma(2 * n + 1) + 2 * n * math.log(a)
+        )
+        if log_remainder <= -53.0 * math.log(2.0):
+            break
+        n += 1
+    return n
 
 
 def correlation_matrices(
@@ -231,26 +194,10 @@ def correlation_matrices(
         az(di, th) = sum_phi w_phi z(phi, th)^di,
         z = exp(-2j*pi*d_h*sin(th)*cos(phi)),  y = exp(-2j*pi*d_v*cos(th)),
 
-    with powers of y built by repeated multiplication. The azimuth factor
-    az is evaluated one of two ways, chosen by the inputs alone:
-
-    - direct: one phasor z per (phi, th) node pair, its powers by
-      repeated multiplication, summed against the phi weights;
-    - moment series: with kappa = -2*pi*d_h*sin(th) and
-      delta = cos(phi) - cos(phi_u),
-      az = exp(j*di*kappa*cos(phi_u)) * sum_n (j*di*kappa)^n / n! * mu_n,
-      where mu_n = sum_phi w_phi delta^n; one phasor per th node instead
-      of one per node pair.
-
-    |di*kappa*delta| <= X = (m_x - 1)*2*pi*d_h*dphi, so the first N terms,
-    N the smallest with X^N / N! <= 2^-53, leave a tail at the level of
-    rounding (N = 13 on a 4x4 array with d_h = 1/2 at dphi = 2 deg, 17 on
-    8x8, 30 on 4x4 at 20 deg). The series is taken only where N is below
-    the number of azimuth nodes; elsewhere (q <= 13 on the default 4x4
-    array at 2 deg) the direct loop runs and its output does not move.
-    On 1200 users the two break even at roughly 0.8 N to 1.2 N nodes, and
-    at q = 32 on 4x4 at 2 deg the series is about 2.6 times faster. It
-    matches the direct form to about 1e-15 * beta.
+    with powers of z and y built by repeated multiplication, one phasor z
+    per (phi, th) node pair. The node count needed for rounding-level
+    accuracy is given by converged_nodes; this function takes the count
+    it is handed.
 
     Lags with di < 0, or di = 0 and dj < 0, are the conjugates of their
     mirrors, so every matrix is exactly Hermitian; its diagonal equals
@@ -276,24 +223,21 @@ def correlation_matrices(
     mats = np.empty((len(azimuth), cfg.m_total, cfg.m_total), dtype=complex)
     n_phi = 1 if spread.delta_phi == 0.0 else quadrature_points
     n_th = 1 if spread.delta_theta == 0.0 else quadrature_points
-    # |di*kappa*delta| <= (m_x - 1)*2*pi*d_h*dphi bounds the series' terms
-    n_terms = _series_terms((m_x - 1) * 2.0 * np.pi * cfg.d_h * spread.delta_phi, n_phi)
-    series = n_terms < n_phi
-    # node-pair phasors, or the series' real powers of delta (half a complex entry)
-    widest = n_phi * n_terms // 2 if series else n_phi * n_th
-    per_user = max(widest, max(m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
+    per_user = max(max(n_phi, m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
     step = max(1, _CHUNK_ENTRIES // per_user)
     for lo in range(0, len(azimuth), step):
         hi = lo + step
         phis, w_phi = _axis_nodes(azimuth[lo:hi], spread.delta_phi, quadrature_points)
         thes, w_th = _axis_nodes(elevation[lo:hi], spread.delta_theta, quadrature_points)
         # azimuth lag factor, summed over phi: az[u, di, th] for di = 0..m_x-1
+        z = _unit_phasors(
+            (-2.0 * np.pi * cfg.d_h) * np.sin(thes)[:, None, :] * np.cos(phis)[:, :, None]
+        )
         az = np.empty((len(phis), m_x, n_th), dtype=complex)
         az[:, 0] = w_phi.sum()
-        if series:
-            _azimuth_series(az, phis, w_phi, np.sin(thes), cfg.d_h, azimuth[lo:hi], n_terms)
-        else:
-            _azimuth_direct(az, phis, w_phi, np.sin(thes), cfg.d_h)
+        for di in range(1, m_x):
+            power = z if di == 1 else power * z
+            np.matmul(w_phi, power, out=az[:, di])
         # weighted elevation lag factor el[u, th, dj + m_y - 1]
         el = np.empty((len(thes), n_th, n_dj), dtype=complex)
         el[..., m_y - 1] = 1.0

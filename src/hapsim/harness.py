@@ -34,6 +34,7 @@ from .allocation import (
 )
 from .channel import (
     ChannelStats,
+    converged_nodes,
     correlation_matrices,
     large_scale_fading,
     los_channel,
@@ -251,6 +252,7 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     """
     served, unserved, rng = place_and_cluster(cfg, master_seed, trial)
     acfg = cfg.array_config()
+    spread = cfg.scattering_spread()
     angles = served.angles
 
     fading = large_scale_fading(
@@ -264,10 +266,10 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
             covariance=correlation_matrices(
                 angles.azimuth,
                 angles.elevation,
-                cfg.scattering_spread(),
+                spread,
                 fading.beta_nlos,
                 acfg,
-                quadrature_points=cfg.quadrature_points,
+                quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
             ),
         ),
         rng,

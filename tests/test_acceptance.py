@@ -314,9 +314,10 @@ def _mean_sum_rates(
 ) -> dict[tuple[int, int], dict[float, tuple[float, float]]]:
     """Mean sum rate and standard error per (L, r) and power, 200 trials.
 
-    quadrature_points=8 instead of the default 32: the covariance rule is
-    a pure numerics knob and the orderings are identical for 6, 8 and 12
-    points, while 32 points would put this check far over its budget.
+    quadrature_points=8 instead of the default 32. It caps the nodes per
+    axis: at the 2 deg spread the covariance converges at 7, so the cap
+    is not reached, while at 20 deg it converges at 15 and 8 truncates it.
+    The orderings were identical for 6, 8 and 12 points.
     """
     out = {}
     for r in r_values:

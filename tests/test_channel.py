@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,9 +227,8 @@ class TestLagDomainMatchesOracle:
     @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (8, 8)])
     def test_fine_quadrature(self, shape, rule, spread_deg, q, monkeypatch):
         self.use_rule(monkeypatch, rule)
-        # both azimuth factors: the moment series wherever its term count is
-        # below q (2 deg on 3x5 and 4x4 from q = 16, on 8x8 from q = 32;
-        # 20 deg on 3x5 and 4x4 from q = 32, on 8x8 at q = 64 only)
+        # node counts around and past converged_nodes' 8 to 11 at 2 deg
+        # and 17 to 26 at 20 deg on these arrays
         cfg = ArrayConfig(m_x=shape[0], m_y=shape[1], d_h=0.5, d_v=0.7)
         spread = ScatteringSpread(*np.radians(spread_deg))
         angles, beta = random_users(12, seed=sum(shape) + q)
@@ -239,7 +239,7 @@ class TestLagDomainMatchesOracle:
         self.check_many_chunks(8)
 
     def test_many_chunks_series(self):
-        # the moment series at q = 32: 38 chunks of 18 users and a partial one
+        # 700 users at 1024 nodes each: 175 chunks of 4 users
         self.check_many_chunks(32)
 
     def check_many_chunks(self, q):
@@ -248,45 +248,58 @@ class TestLagDomainMatchesOracle:
         self.check(angles, spread, beta, ArrayConfig(d_h=0.45, d_v=0.6), q)
 
 
-def direct_only(monkeypatch):
-    """Make correlation_matrices take the direct azimuth factor at any q."""
-    monkeypatch.setattr(channel, "_series_terms", lambda x_max, limit: limit)
+def gauss_remainder(n, a):
+    """Gauss-Legendre remainder bound for exp(j*a*t) on [-1, 1], its
+    factorial part in exact rationals."""
+    ratio = Fraction(2 ** (2 * n + 1) * math.factorial(n) ** 4,
+                     (2 * n + 1) * math.factorial(2 * n) ** 3)
+    return float(ratio) * a ** (2 * n)
 
 
-class TestAzimuthFactorChoice:
-    """The moment series replaces the direct azimuth factor only where its
-    term count is below the azimuth node count; elsewhere not a bit moves."""
+class TestConvergedNodes:
+    """converged_nodes picks the node count at which the covariance stops
+    moving, and never more than its limit."""
 
-    def setup_method(self):
-        angles, self.beta = random_users(40, seed=9)
-        self.directions = directions(angles)
-        self.spread = ScatteringSpread(np.radians(2.0), np.radians(2.0))
-
-    def matrices(self, q):
-        return correlation_matrices(*self.directions, self.spread, self.beta, ArrayConfig(), q)
-
-    def test_q8_is_the_direct_routine(self, monkeypatch):
-        default = self.matrices(8)
-        direct_only(monkeypatch)
-        assert default.tobytes() == self.matrices(8).tobytes()
-
-    def test_q32_takes_the_series(self, monkeypatch):
-        series = self.matrices(32)
-        direct_only(monkeypatch)
-        direct = self.matrices(32)
-        assert not np.array_equal(series, direct)
-        assert np.max(np.abs(series - direct) / self.beta[:, None, None]) <= 1e-14
-
-    @pytest.mark.parametrize("shape, spread_deg, terms", [
-        ((4, 4), 2.0, 13), ((8, 8), 2.0, 17), ((4, 4), 20.0, 30), ((8, 8), 20.0, 45),
+    @pytest.mark.parametrize("shape, spread_deg, nodes", [
+        ((4, 4), 2.0, 7), ((4, 8), 2.0, 8), ((8, 8), 2.0, 9), ((4, 4), 20.0, 15),
     ])
-    def test_term_count(self, shape, spread_deg, terms):
-        # smallest N with X^N / N! <= 2^-53, X = (m_x - 1) * 2 pi * d_h * dphi
-        x_max = (shape[0] - 1) * 2.0 * np.pi * 0.5 * np.radians(spread_deg)
-        assert channel._series_terms(x_max, 100) == terms
-        assert x_max ** terms / math.factorial(terms) <= 2.0 ** -53
-        assert x_max ** (terms - 1) / math.factorial(terms - 1) > 2.0 ** -53
-        assert channel._series_terms(x_max, terms) == terms  # capped: direct
+    def test_counts(self, shape, spread_deg, nodes):
+        cfg = ArrayConfig(m_x=shape[0], m_y=shape[1])
+        spread = ScatteringSpread(np.radians(spread_deg), np.radians(spread_deg))
+        assert channel.converged_nodes(spread, cfg, 32) == nodes
+        assert channel.converged_nodes(spread, cfg, nodes - 1) == nodes - 1
+        # the elevation amplitude is the larger one and sets the count
+        a = 2.0 * np.pi * ((shape[0] - 1) * 0.5 + (shape[1] - 1) * 0.5) * spread.delta_theta
+        assert gauss_remainder(nodes, a) <= 2.0 ** -53 < gauss_remainder(nodes - 1, a)
+
+    def test_zero_spread_takes_one_node(self):
+        assert channel.converged_nodes(ScatteringSpread(0.0, 0.0), ArrayConfig(), 32) == 1
+
+    def test_wide_spread_stops_at_the_limit(self):
+        # (2n)! for n near 32 overflows a float; the bound is taken in logs
+        wide = ScatteringSpread(np.radians(3600.0), np.radians(3600.0))
+        assert channel.converged_nodes(wide, ArrayConfig(m_y=8), 32) == 32
+
+    def test_matches_a_fine_oracle(self):
+        # random arrays, spacings and spreads (zero on either or both axes
+        # included) against the element-domain formula at 96 nodes per axis
+        rng = np.random.default_rng(2026)
+        zero_axes = [(0,), (1,), (0, 1)]
+        worst = 0.0
+        for k in range(150):
+            cfg = ArrayConfig(m_x=int(rng.integers(1, 9)), m_y=int(rng.integers(1, 9)),
+                              d_h=float(rng.uniform(0.25, 1.0)),
+                              d_v=float(rng.uniform(0.25, 1.0)))
+            spread_deg = rng.uniform(0.0, 20.0, 2)
+            if k < len(zero_axes):
+                spread_deg[list(zero_axes[k])] = 0.0
+            spread = ScatteringSpread(*np.radians(spread_deg))
+            angles, beta = random_users(1, seed=k)
+            q = channel.converged_nodes(spread, cfg, 96)
+            c = correlation_matrices(*directions(angles), spread, beta, cfg, q)
+            ref = reference_correlation_matrices(angles, spread, beta, cfg, 96)
+            worst = max(worst, np.max(np.abs(c - ref)) / beta[0])
+        assert worst <= 1e-13
 
 
 class TestLargeScaleFading:
@@ -378,7 +391,7 @@ class TestBatchedMatchesLoop:
         self.check_covariances_and_draws(6)
 
     def test_covariances_and_draws_series(self):
-        # q = 32 takes the moment series, 21 users a chunk
+        # q = 32: 75 chunks of 4 users
         self.check_covariances_and_draws(32)
 
     def check_covariances_and_draws(self, q):

@@ -11,6 +11,7 @@ from conftest import deadline
 from hapsim import cli, harness
 
 TINY = Path(__file__).parent / "golden" / "tiny.cfg"
+Q32 = TINY.with_name("q32.cfg")
 
 
 class TestListOptions:
@@ -65,6 +66,31 @@ def test_floor_overflow_in_config_is_rejected(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: p_max 1e-313 W: ")
     assert not out.exists()
+
+
+class TestQuadratureCap:
+    """quadrature_points caps the covariance nodes per axis; below the cap
+    the run takes the count at which the covariance has converged."""
+
+    def run(self, text, out, capsys):
+        config = out.parent / f"{out.name}.cfg"
+        config.write_text(text)
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        return (out / "run.csv").read_bytes()
+
+    def test_past_convergence_changes_nothing(self, tmp_path, capsys):
+        # q32.cfg's 4x8 array at 2 deg converges at 8 nodes
+        text = Q32.read_text()
+        assert "quadrature_points = 32\n" in text
+        at_32 = self.run(text, tmp_path / "q32", capsys)
+        at_8 = self.run(text.replace("= 32", "= 8"), tmp_path / "q8", capsys)
+        assert at_32 == at_8
+
+    def test_wide_spread_runs(self, tmp_path, capsys):
+        # no count up to 32 converges here, so the cap is taken
+        text = Q32.read_text() + "spread_phi_deg = 3600\nspread_theta_deg = 3600\n"
+        assert self.run(text, tmp_path / "wide", capsys)
 
 
 def run_cli(argv, out, capsys):

@@ -5,14 +5,15 @@ test_09 also runs: one user per cell, every time share 1 and no block
 reuse. reuse.cfg adds r = 3, which gives nbr 10 and L 4, so 12
 cluster-blocks wrap onto 10 blocks. disk.cfg adds users_per_trial = 150:
 crowded cells time-share, with shares from 1/26 to 1. q32.cfg is tiny.cfg
-at quadrature_points = 32, where the covariance takes its azimuth factor
-from the moment series instead of one phasor per node pair. sweep-rb runs
+at quadrature_points = 32; that is a cap, and its 4x8 array at 2 deg
+converges at 8 nodes per axis, so it runs 8. sweep-rb runs
 r = 2, 3, 1, out of order and with the wrapped r = 3, on each; the --r
 list overrides the config's r, so the tiny and reuse CSVs agree and only
 their meta.txt differs. The tiny goldens were last rewritten when the
 one-ring covariance moved to its lag-domain form, which changes
-floating-point rounding; the q32 goldens were written when the moment
-series came in. Every meta.txt was rewritten when the config keys
+floating-point rounding; the q32 CSVs were last rewritten when
+quadrature_points became a cap on the converged node count (the heatmap
+CSV did not move). Every meta.txt was rewritten when the config keys
 quadrature_rule and subsection_rule were removed, which took two lines
 out of each and changed its fingerprint; no CSV byte moved. Refactors
 must not move a single output byte.
