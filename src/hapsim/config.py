@@ -189,8 +189,8 @@ class ScenarioConfig:
             raise ConfigError("seed must be >= 0")
         if len(self.sigma_sf) != 2 or any(s < 0 for s in self.sigma_sf):
             raise ConfigError("sigma_sf must be two values >= 0")
-        if self.spread_phi_deg < 0 or self.spread_theta_deg < 0:
-            raise ConfigError("spread_phi_deg and spread_theta_deg must be >= 0")
+        if not (0 <= self.spread_phi_deg <= 180 and 0 <= self.spread_theta_deg <= 90):
+            raise ConfigError("spread_phi_deg must be in [0, 180], spread_theta_deg in [0, 90]")
         if self.nbr is not None and self.nbr * self.bw_rb > self.bandwidth + self.bw_rb:
             raise ConfigError("nbr does not fit in bandwidth at bw_rb")
         if self.r > (self.nbr or self.r):

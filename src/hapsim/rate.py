@@ -75,18 +75,20 @@ class InterferenceMap:
 
     Users are held in evaluation order: (sector, cluster) groups in key
     order, members by user id; every array below is indexed that way.
+
+    terms says who interferes with whom on which block. Each bucket holds
+    (targets (m,), interferer rows (m, k), gains |h_u^H p_v|^2 (m, k)),
+    targets flat into an (n, r + 1) table: column 0 for every block (same
+    group, other cell), column 1 + pos for block position pos (the other
+    groups holding that block). Buckets are keyed by (rank, k) in sorted
+    order, rank the interfering group's place among the block's holders
+    (0 in column 0); no target repeats inside a bucket.
     """
 
     order: np.ndarray        # (n,) each row's position in user-id order
     time_share: np.ndarray   # (n,)
     own_gain: np.ndarray     # (n,) |h_u^H p_u|^2
-    # same-cluster interference, one entry per interferer count k:
-    # (rows (m,), interferer rows (m, k), gains |h_u^H p_v|^2 (m, k))
-    same_cluster: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    # wrapped blocks under reuse, one entry per group and block position:
-    # (slice of the group's rows, block position,
-    #  ((slice of another group's rows, gains (rows, its columns)), ...))
-    wrapped: tuple[tuple[slice, int, tuple[tuple[slice, np.ndarray], ...]], ...]
+    terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def build_interference_map(
@@ -109,8 +111,9 @@ def build_interference_map(
     """
     order, starts = groups.order, groups.starts
     sizes = np.diff(starts)
+    width = plan.rb_per_user + 1  # columns of the terms' (n, r + 1) table
     own_gain = np.empty(len(order))
-    parts: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    parts: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
     # groups of one size at a time, sizes in order of first appearance:
     # (groups, size, size) projections
     for size in dict.fromkeys(sizes.tolist()):
@@ -128,10 +131,9 @@ def build_interference_map(
         for k in sorted(set(counts[counts > 0].tolist())):
             g, a = np.nonzero(counts == k)
             b = np.nonzero(mask[g, a])[1].reshape(-1, k)
-            parts.setdefault(k, []).append(
-                (rows[g, a], rows[g[:, None], b], proj[g[:, None], a[:, None], b])
+            parts.setdefault((0, k), []).append(
+                (rows[g, a] * width, rows[g[:, None], b], proj[g[:, None], a[:, None], b])
             )
-    wrapped = []
     if plan.reuse:
         first = order[starts[:-1]]  # each group's first member
         group_sector = sector[first].tolist()
@@ -141,28 +143,28 @@ def build_interference_map(
             for b in plan.cluster_blocks[group_cluster[g]]:
                 holders.setdefault((group_sector[g], b), []).append(g)
         for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
+            rows = np.arange(starts[g], starts[g + 1])
+            h_conj = [channels[i].conj() for i in order[rows]]
             for pos, b in enumerate(plan.cluster_blocks[l]):
-                others = [o for o in holders[(s, b)] if o != g]
-                if not others:
-                    continue
-                h_conj = [channels[i].conj() for i in order[starts[g]:starts[g + 1]]]
-                block = []
-                for o in others:
-                    cols = slice(starts[o], starts[o + 1])
+                for rank, o in enumerate(holders[(s, b)]):
+                    if o == g:
+                        continue
+                    cols = np.arange(starts[o], starts[o + 1])
                     p = np.ascontiguousarray(precoders[cols].T)
                     # one vector-matrix product per user, as a per-user
                     # loop takes it; a stacked product can round differently
-                    block.append((cols, np.array([np.abs(h @ p) ** 2 for h in h_conj])))
-                wrapped.append((slice(starts[g], starts[g + 1]), pos, tuple(block)))
+                    gains = np.array([np.abs(h @ p) ** 2 for h in h_conj])
+                    parts.setdefault((rank, len(cols)), []).append(
+                        (rows * width + 1 + pos, np.tile(cols, (len(rows), 1)), gains)
+                    )
     return InterferenceMap(
         order=order,
         time_share=groups.time_share[order],
         own_gain=own_gain,
-        same_cluster=tuple(
-            tuple(np.concatenate(arrays) for arrays in zip(*chunks))
-            for chunks in parts.values()
+        terms=tuple(
+            tuple(np.concatenate(arrays) for arrays in zip(*parts[key]))
+            for key in sorted(parts)
         ),
-        wrapped=tuple(wrapped),
     )
 
 
@@ -181,11 +183,11 @@ def evaluate_objective(
     users holds one record per user (only its length is read), and
     power.omega and allocator_gains are in user-id order. interference is
     build_interference_map's result for these users, built once per trial
-    and reused at every power point. Each user is evaluated
-    block by block: with disjoint block sets every block of a user sees the
-    same interferers; when the plan reuses blocks across clusters the
-    wrapped blocks also collect the other cluster's users. The report's
-    arrays follow the map's evaluation order, interference.order.
+    and reused at every power point. One pass over its terms sums each
+    bucket's omega * time_share-weighted gains into the (n, r + 1) table;
+    block position pos of a user then sees column 0 plus column 1 + pos,
+    whatever rule shared the blocks. The report's arrays follow the map's
+    evaluation order, interference.order.
     """
     im = interference
     n = len(im.order)
@@ -196,21 +198,18 @@ def evaluate_objective(
     omega = power.omega[im.order]
     omega_eff = omega * im.time_share
     own = im.own_gain * omega
-    base = np.zeros(n)
-    for rows, inter, gains in im.same_cluster:
-        base[rows] = np.sum(omega_eff[inter] * gains, axis=1)
     # every cluster holds plan.rb_per_user blocks (assign_resource_blocks)
     blocks = plan.rb_per_user
-    extra = np.zeros((n, blocks))
-    for rows, pos, others in im.wrapped:
-        total = 0.0  # the other groups' sums, added in order
-        for cols, gains in others:
-            total = total + np.sum(omega_eff[cols] * gains, axis=1)
-        extra[rows, pos] = total
+    # buckets in (rank, k) order add each block's interfering groups in
+    # holder order, as a scalar loop would; 0.0 + s == s
+    acc = np.zeros(n * (blocks + 1))
+    for target, inter, gains in im.terms:
+        acc[target] += np.sum(omega_eff[inter] * gains, axis=1)
+    acc = acc.reshape(n, blocks + 1)
     # per-block log terms summed in block order, as a scalar loop would
     se_sum = np.zeros(n)
     for pos in range(blocks):
-        sinr_b = rho * own / (rho * (base + extra[:, pos]) + 1.0)
+        sinr_b = rho * own / (rho * (acc[:, 0] + acc[:, 1 + pos]) + 1.0)
         se_sum = se_sum + np.log2(1.0 + sinr_b)
     se = se_sum / blocks
     rate_arr = im.time_share * blocks * bw_rb * se

@@ -148,8 +148,9 @@ def cluster_precoders_ref(users, cfg):
 
 def interference_map_ref(users, plan, precoders):
     """The interference map built group by group and user by user:
-    user_ids, time_share, own_gain, same_cluster and wrapped, with
-    InterferenceMap's layout."""
+    user_ids, time_share, own_gain and terms, the last as
+    {target: [(rank, interferer rows, gains), ...]} in rank order, with
+    InterferenceMap's evaluation order and (n, r + 1) target table."""
     groups = group_members_ref(users)
     keys = sorted(groups)
     start = {}
@@ -157,31 +158,21 @@ def interference_map_ref(users, plan, precoders):
     for key in keys:
         start[key] = len(order)
         order.extend(groups[key])
-    n = len(order)
-    channels = np.array([u.channel for u in users])
-    section = np.array([u.cell.section for u in users], dtype=int)
-    own_gain = np.empty(n)
-    parts = {}
-    by_size = {}
+    width = plan.rb_per_user + 1
+    own_gain = np.empty(len(order))
+    terms = {}
     for key in keys:
-        by_size.setdefault(len(groups[key]), []).append(key)
-    for size, ks in by_size.items():
-        members = np.array([groups[k] for k in ks])
-        rows = np.array([start[k] for k in ks])[:, None] + np.arange(size)
+        members = groups[key]
         proj = np.abs(
-            channels[members].conj() @ np.stack([precoders[k] for k in ks])
+            np.array([users[i].channel for i in members]).conj() @ precoders[key]
         ) ** 2
-        own_gain[rows] = np.diagonal(proj, axis1=1, axis2=2)
-        sec = section[members]
-        mask = sec[:, :, None] != sec[:, None, :]
-        counts = mask.sum(axis=2)
-        for k in sorted(set(counts[counts > 0].tolist())):
-            g, a = np.nonzero(counts == k)
-            b = np.nonzero(mask[g, a])[1].reshape(-1, k)
-            parts.setdefault(k, []).append(
-                (rows[g, a], rows[g[:, None], b], proj[g[:, None], a[:, None], b])
-            )
-    wrapped = []
+        for a, i in enumerate(members):
+            own_gain[start[key] + a] = proj[a, a]
+            others = [b for b, j in enumerate(members) if users[j].cell != users[i].cell]
+            if others:
+                terms[(start[key] + a) * width] = [
+                    (0, [start[key] + b for b in others], proj[a, others])
+                ]
     if plan.reuse:
         block_groups = {}
         for key in groups:
@@ -189,27 +180,21 @@ def interference_map_ref(users, plan, precoders):
                 block_groups.setdefault((key[0], b), []).append(key)
         for key in keys:
             for pos, b in enumerate(plan.cluster_blocks[key[1]]):
-                others = [o for o in block_groups[(key[0], b)] if o != key]
-                if not others:
-                    continue
                 for a, i in enumerate(groups[key]):
                     h_conj = users[i].channel.conj()
-                    wrapped.append((start[key] + a, pos, tuple(
-                        (
-                            slice(start[o], start[o] + len(groups[o])),
+                    for rank, o in enumerate(block_groups[(key[0], b)]):
+                        if o == key:
+                            continue
+                        terms.setdefault((start[key] + a) * width + 1 + pos, []).append((
+                            rank,
+                            list(range(start[o], start[o] + len(groups[o]))),
                             np.abs(h_conj @ precoders[o]) ** 2,
-                        )
-                        for o in others
-                    )))
+                        ))
     return SimpleNamespace(
         user_ids=tuple(users[i].user_id for i in order),
         time_share=np.array([users[i].time_share for i in order], dtype=float),
         own_gain=own_gain,
-        same_cluster=tuple(
-            tuple(np.concatenate(arrays) for arrays in zip(*chunks))
-            for chunks in parts.values()
-        ),
-        wrapped=tuple(wrapped),
+        terms=terms,
     )
 
 

@@ -88,8 +88,9 @@ class TestQuadratureCap:
         assert at_32 == at_8
 
     def test_wide_spread_runs(self, tmp_path, capsys):
-        # no count up to 32 converges here, so the cap is taken
-        text = Q32.read_text() + "spread_phi_deg = 3600\nspread_theta_deg = 3600\n"
+        # the widest spreads allowed converge only at 49 nodes, so the cap
+        # is taken
+        text = Q32.read_text() + "spread_phi_deg = 180\nspread_theta_deg = 90\n"
         assert self.run(text, tmp_path / "wide", capsys)
 
 

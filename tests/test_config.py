@@ -131,6 +131,13 @@ def cli_rejects(config_bytes, tmp_path, capsys):
     return lines[0]
 
 
+@pytest.mark.parametrize("key", ["spread_phi_deg", "spread_theta_deg"])
+def test_spread_past_the_sphere_is_rejected(key, tmp_path, capsys):
+    # a half-width past 180 deg (90 deg in elevation) wraps the sphere
+    line = cli_rejects(f"bandwidth = 1.8e6\n{key} = 3600\n".encode(), tmp_path, capsys)
+    assert line == "error: spread_phi_deg must be in [0, 180], spread_theta_deg in [0, 90]"
+
+
 class TestPowerRange:
     """A power whose rho over- or underflows is a ConfigError: before the
     check, p_max = 1e308 made rho infinite and the greedy fill raised."""

@@ -9,6 +9,7 @@ from hapsim.dofgrid import GridCell
 from hapsim.allocation import (
     PowerAllocation,
     QoSSpec,
+    ResourcePlan,
     assign_resource_blocks,
     cluster_users,
 )
@@ -16,6 +17,7 @@ from hapsim.channel import composite_steering
 from hapsim.rate import (
     UserCell,
     build_cluster_precoders,
+    build_interference_map,
     effective_sinr,
     evaluate_objective,
 )
@@ -405,31 +407,44 @@ def assert_equals_oracles(user_id, time_share, plan, im, users, cfg):
     plan_ref = assign_resource_blocks(
         [cl.subsection_id for cl in clusters], plan.total_rb, plan.rb_per_user
     )
-    users = [replace(u, time_share=shares[u.user_id]) for u in users]
-    ref = interference_map_ref(users, plan_ref, cluster_precoders_ref(users, cfg))
-    # evaluation order, time shares and plan blocks
-    assert user_id[im.order].tolist() == list(ref.user_ids)
     assert time_share.tolist() == [shares[uid] for uid in user_id.tolist()]
-    assert im.time_share.tolist() == ref.time_share.tolist()
     assert plan == plan_ref
-    # own_gain, same_cluster and wrapped
+    users = [replace(u, time_share=shares[u.user_id]) for u in users]
+    assert_map_equals_oracle(user_id, im, users, plan_ref, cfg)
+
+
+def assert_map_equals_oracle(user_id, im, users, plan, cfg):
+    """The interference map of users (in user-id order, with their time
+    shares) under plan equals the per-target oracle exactly; every bucket
+    holds one (rank, k), in increasing (rank, k) order."""
+    ref = interference_map_ref(users, plan, cluster_precoders_ref(users, cfg))
+    assert user_id[im.order].tolist() == list(ref.user_ids)
+    assert im.time_share.tolist() == ref.time_share.tolist()
     assert np.array_equal(im.own_gain, ref.own_gain)
-    assert len(im.same_cluster) == len(ref.same_cluster)
-    for got, want in zip(im.same_cluster, ref.same_cluster):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    # the map's wrapped entries per group and block, spread out per user
-    wrapped = [
-        (row, pos, tuple((cols, gains[a]) for cols, gains in others))
-        for rows, pos, others in im.wrapped
-        for a, row in enumerate(range(rows.start, rows.stop))
-    ]
-    assert len(wrapped) == len(ref.wrapped)
-    for (row, pos, others), (row_ref, pos_ref, others_ref) in zip(wrapped, ref.wrapped):
-        assert (row, pos) == (row_ref, pos_ref)
-        assert len(others) == len(others_ref)
-        for (rows, gains), (rows_ref, gains_ref) in zip(others, others_ref):
+    got = expand_terms(im)
+    assert got.keys() == ref.terms.keys()
+    bucket_keys = [set() for _ in im.terms]
+    for target, want in ref.terms.items():
+        assert len(got[target]) == len(want)
+        for (bucket, rows, gains), (rank, rows_ref, gains_ref) in zip(got[target], want):
             assert rows == rows_ref
             assert np.array_equal(gains, gains_ref)
+            bucket_keys[bucket].add((rank, len(rows)))
+    assert all(len(keys) == 1 for keys in bucket_keys)
+    keys = [k for keys in bucket_keys for k in keys]
+    assert keys == sorted(set(keys))
+
+
+def expand_terms(im):
+    """The map's terms as {target: [(bucket, interferer rows, gains), ...]},
+    buckets in the map's order; fails if a bucket repeats a target, which
+    evaluate_objective's acc[target] += would silently drop."""
+    terms = {}
+    for bucket, (target, inter, gains) in enumerate(im.terms):
+        assert len(set(target.tolist())) == len(target)
+        for t, rows, g in zip(target.tolist(), inter.tolist(), gains):
+            terms.setdefault(t, []).append((bucket, rows, g))
+    return terms
 
 
 class TestArrayTrialMatchesOracles:
@@ -494,10 +509,53 @@ class TestArrayTrialMatchesOracles:
         ]
         u, groups, plan, im = array_trial(users, 4, 3, CFG)
         assert plan.reuse
-        assert max(len(others) for _row, _pos, others in im.wrapped) == 3
+        assert max(len(terms) for terms in expand_terms(im).values()) == 3
         assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
 
     def test_empty_users(self):
         u, groups, plan, im = array_trial([], 50, 1, CFG)
         assert len(im.order) == 0 and plan.cluster_blocks == {}
         assert_equals_oracles(u.user_id, groups.time_share, plan, im, [], CFG)
+
+
+class TestScoringIgnoresBlockRule:
+    """Scoring reads only the map's term table, so a plan that shares
+    blocks by any rule scores as the per-block loop does."""
+
+    def test_hand_built_sharing(self):
+        # 5 clusters x 2 blocks onto 5 blocks, not (l - 1) * r mod nbr:
+        # block 0 has three holders, and cell (1, 1, 3) time-shares
+        plan = ResourcePlan(
+            rb_per_user=2, total_rb=5, reuse=True,
+            cluster_blocks={1: (0, 1), 2: (2, 3), 3: (1, 4), 4: (3, 0), 5: (2, 0)},
+        )
+        rng = np.random.default_rng(21)
+        keys = [(s, sec, l) for s in (1, 2) for sec in (1, 2) for l in range(1, 6)]
+        grid = [GridCell(*k) for k in keys] + [GridCell(1, 1, 3)] * 2
+        users = sorted((
+            served(int(uid), c, mu_only(*rng.uniform(-0.5, 0.5, 2)), h)
+            for uid, c, h in zip(rng.permutation(100), grid, random_channels(21, len(grid)))
+        ), key=lambda v: v.user_id)
+        u = user_arrays(users)
+        groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
+        assert plan != assign_resource_blocks(groups.cluster_ids, 5, 2)
+        assert groups.time_share.min() < 1.0
+        im = build_interference_map(
+            groups, u.sector, u.section, u.subsection, u.channels, plan,
+            build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, CFG),
+        )
+        users = [replace(v, time_share=ts) for v, ts in zip(users, groups.time_share.tolist())]
+        assert_map_equals_oracle(u.user_id, im, users, plan, CFG)
+        assert max(len(terms) for terms in expand_terms(im).values()) == 2
+
+        omega = {v.user_id: float(w) for v, w in
+                 zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
+        report, _ = evaluate_objective(
+            cells(u), plan, alloc(omega, 1.0, 1.0), QoSSpec(), 300.0, 180e3,
+            np.ones(len(users)), im,
+        )
+        report = by_user(report, u.user_id[im.order].tolist())
+        rates, ses, total = reference_objective(users, plan, omega, 300.0, 180e3, CFG)
+        assert report.rates == rates
+        assert report.spectral_efficiency == ses
+        assert report.sum_rate == total
