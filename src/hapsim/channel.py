@@ -58,14 +58,6 @@ class ScatteringSpread:
             raise ValueError("angular spreads must be >= 0")
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    """First and second moments of one user's channel vector."""
-
-    mean: np.ndarray        # (M,) complex, or (N, M) for N users
-    covariance: np.ndarray  # (M, M) complex Hermitian PSD, or (N, M, M)
-
-
 class InvalidCovarianceError(ValueError):
     pass
 
@@ -296,16 +288,19 @@ def large_scale_fading(
     )
 
 
-def sample_channel(stats: ChannelStats, rng: np.random.Generator) -> np.ndarray:
+def sample_channel(
+    mean: np.ndarray, covariance: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
     """Draw h = mean + C^(1/2) z with z circularly-symmetric standard Gaussian.
 
-    Stacked moments, shapes (N, M) and (N, M, M), draw N channels in order,
-    each real parts before imaginary parts. Eigenvalues below
-    1e-12 * trace are clamped to zero; an eigenvalue below -1e-10 * trace
-    means the covariance is not PSD and raises.
+    One user's moments, shapes (M,) and (M, M), draw one channel; stacked
+    moments, shapes (N, M) and (N, M, M), draw N channels in order, each
+    real parts before imaginary parts. Eigenvalues below 1e-12 * trace are
+    clamped to zero; an eigenvalue below -1e-10 * trace means the
+    covariance is not PSD and raises.
     """
-    c = np.asarray(stats.covariance)
-    mean = np.asarray(stats.mean)
+    c = np.asarray(covariance)
+    mean = np.asarray(mean)
     m = mean.shape[-1]
     if c.shape != mean.shape + (m,):
         raise ValueError("covariance shape does not match mean")
@@ -314,10 +309,7 @@ def sample_channel(stats: ChannelStats, rng: np.random.Generator) -> np.ndarray:
     step = max(1, _CHUNK_ENTRIES // (m * m))
     if mean.ndim == 2 and len(mean) > step:
         return np.concatenate([
-            sample_channel(
-                ChannelStats(mean=mean[lo:lo + step], covariance=c[lo:lo + step]),
-                rng,
-            )
+            sample_channel(mean[lo:lo + step], c[lo:lo + step], rng)
             for lo in range(0, len(mean), step)
         ])
     w, u = np.linalg.eigh(c)

@@ -35,7 +35,8 @@ class ScenarioConfig:
     """Full description of one simulated deployment.
 
     None-valued fields are derived at resolve() time: nbr from the system
-    bandwidth, p_total from p_max, users_per_trial from full grid occupancy.
+    bandwidth, p_total from p_max. users_per_trial None places one user
+    in every grid cell.
     """
 
     coverage_radius: float = 100e3
@@ -125,20 +126,6 @@ class ScenarioConfig:
         if self.nbr is None:
             raise ConfigError("subsection_grid requires a resolved config")
         return subsections_per_section(self.nbr, self.r, self.array_config())
-
-    def full_occupancy(self) -> int:
-        grid = self.section_grid()
-        return self.n_sectors * grid.n_sections * self.subsection_grid().l_count
-
-    def effective_users(self) -> int:
-        """users_per_trial, defaulting to one user per grid cell.
-
-        Kept lazy (instead of frozen at resolve time) so sweeps that vary r,
-        and with it the subsection count, re-derive occupancy per point.
-        """
-        if self.users_per_trial is not None:
-            return self.users_per_trial
-        return self.full_occupancy()
 
     # -- resolution and validation ------------------------------------------
 
@@ -235,6 +222,7 @@ _ALL_KEYS = {f.name for f in fields(ScenarioConfig)}
 def parse_config(text: str) -> ScenarioConfig:
     """Parse key=value lines into a resolved ScenarioConfig."""
     values: dict[str, object] = {}
+    seen: dict[str, int] = {}  # key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -246,6 +234,9 @@ def parse_config(text: str) -> ScenarioConfig:
         val = val.strip()
         if key not in _ALL_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             if key in _TUPLE_KEYS:
                 values[key] = tuple(float(x) for x in val.split(","))

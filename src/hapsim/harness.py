@@ -33,7 +33,6 @@ from .allocation import (
     scaled_min_power,
 )
 from .channel import (
-    ChannelStats,
     converged_nodes,
     correlation_matrices,
     large_scale_fading,
@@ -80,8 +79,9 @@ def figure_r_values(cfg: ScenarioConfig) -> tuple[int, ...]:
 class TrialState:
     """Power-independent part of one trial.
 
-    Per-user arrays are in user-id order; interference.order is the
-    permutation to the interference map's evaluation order.
+    Per-user arrays are in user-id order, as is the report the scorer
+    returns; the (sector, cluster) evaluation order stays inside the
+    interference map, allocation and rate.
     """
 
     cfg: ScenarioConfig
@@ -198,7 +198,7 @@ def _disk_users(
     """users_per_trial positions i.i.d. uniform over the coverage disk;
     drops outside the sector's grid are counted, not served."""
     positions = drop_users(
-        cfg.effective_users(), cfg.coverage_radius, cfg.haps_altitude, rng
+        cfg.users_per_trial, cfg.coverage_radius, cfg.haps_altitude, rng
     )
     sector = sector_of(
         np.arctan2(positions.ground_y, positions.ground_x), cfg.n_sectors
@@ -261,16 +261,10 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     # the covariances live only for this call, which keeps them out of the
     # peak memory of the per-trial structures built below
     channels = sample_channel(
-        ChannelStats(
-            mean=los_channel(fading, angles, acfg),
-            covariance=correlation_matrices(
-                angles.azimuth,
-                angles.elevation,
-                spread,
-                fading.beta_nlos,
-                acfg,
-                quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
-            ),
+        los_channel(fading, angles, acfg),
+        correlation_matrices(
+            angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
+            quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
         ),
         rng,
     )
@@ -317,19 +311,17 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         power = scaled_min_power(state.gain, rho, qos, p_max, p_total)
     except PowerRangeError as exc:
         raise ConfigError(f"p_max {p_max!r} W: {exc}") from None
-    report, constraints = evaluate_objective(
+    report = evaluate_objective(
         state.users, state.plan, power, qos, rho, cfg.bw_rb,
         state.gain, state.interference,
     )
-    scored = np.empty((2, len(state.user_id)))  # back to user-id order
-    scored[:, state.interference.order] = (report.spectral_efficiency, report.rates)
     return TrialRecord(
         trial=state.trial,
         sum_rate_bps=report.sum_rate,
-        qos_feasible=constraints.qos_feasible,
-        power_margin_w=constraints.power_margin_w,
-        qos_margin_model=constraints.qos_margin_model,
-        qos_margin_realized=constraints.qos_margin_realized,
+        qos_feasible=report.qos_feasible,
+        power_margin_w=report.power_margin_w,
+        qos_margin_model=report.qos_margin_model,
+        qos_margin_realized=report.qos_margin_realized,
         unserved=state.unserved,
         users=state.user_id,
         sector=state.sector,
@@ -337,8 +329,8 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
         subsection=state.subsection,
         time_share=state.time_share,
         omega=power.omega,
-        spectral_efficiency=scored[0],
-        rate_bps=scored[1],
+        spectral_efficiency=report.spectral_efficiency,
+        rate_bps=report.rates,
     )
 
 
@@ -350,16 +342,11 @@ def run_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialRecord:
 # -- entry points -------------------------------------------------------------
 
 
-def _run_task(args: tuple[ScenarioConfig, int, int]) -> TrialRecord:
-    cfg, seed, trial = args
-    return run_trial(cfg, seed, trial)
-
-
 def run(cfg: ScenarioConfig, out_dir: str | Path | None = None,
         workers: int = 1) -> list[TrialRecord]:
     """Per-user rate table over cfg.trials seeded trials."""
     tasks = [(cfg, cfg.seed, t) for t in range(cfg.trials)]
-    records = _map_tasks(_run_task, tasks, workers)
+    records = _map_tasks(run_trial, tasks, workers)
     if out_dir is not None:
         header = [
             "trial", "user", "sector", "section", "subsection", "time_share",
@@ -382,9 +369,8 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None,
 
 
 def _sweep_power_task(
-    args: tuple[ScenarioConfig, int, int, tuple[float, ...]]
+    cfg_r: ScenarioConfig, seed: int, trial: int, powers_dbm: tuple[float, ...]
 ) -> list[float]:
-    cfg_r, seed, trial, powers_dbm = args
     state = prepare_trial(cfg_r, seed, trial)
     return [
         evaluate_trial(state, p, p).sum_rate_bps
@@ -456,7 +442,7 @@ def sweep_rb(
     configs = [replace(cfg, r=r).resolve() for r in r_set]
     tasks = [(cfg_r, cfg.seed, t) for cfg_r in configs for t in range(cfg.trials)]
     rows: list[tuple] = []
-    for (cfg_r, _seed, t), rec in zip(tasks, _map_tasks(_run_task, tasks, workers)):
+    for (cfg_r, _seed, t), rec in zip(tasks, _map_tasks(run_trial, tasks, workers)):
         rows.extend(zip(
             repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
             rec.users.tolist(), rec.rate_bps.tolist(),
@@ -511,15 +497,16 @@ def heatmap(
 # -- output -------------------------------------------------------------------
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
+def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for every task, in task order."""
     # a process pool starts all of its workers at the first submit, so ask
     # for no more than there are tasks and CPUs this process may run on
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(tasks), cpus or 1)
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:

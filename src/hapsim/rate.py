@@ -35,25 +35,22 @@ class UserCell(NamedTuple):
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user arrays in the interference map's evaluation order."""
+    """One scored trial: per-user arrays in user-id order, the sum rate
+    and the constraint margins."""
 
     rates: np.ndarray                 # bits/s
     spectral_efficiency: np.ndarray   # bits/s/Hz within the user's slot
     sum_rate: float
+    power_margin_w: float             # p_total - p_max * sum(omega)
+    qos_margin_model: float           # min over users, allocator gain model
+    qos_margin_realized: float        # min over users, with interference
+    qos_feasible: bool
 
 
 def effective_sinr(spectral_efficiency: np.ndarray) -> list[float]:
     """2^se - 1 per entry, through the C library pow as Python float
     arithmetic does; numpy's vectorized power can differ in the last bit."""
     return [2.0 ** v - 1.0 for v in spectral_efficiency.tolist()]
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    power_margin_w: float            # p_total - p_max * sum(omega)
-    qos_margin_model: float          # min over users, allocator gain model
-    qos_margin_realized: float       # min over users, with interference
-    qos_feasible: bool
 
 
 def build_cluster_precoders(
@@ -177,7 +174,7 @@ def evaluate_objective(
     bw_rb: float,
     allocator_gains: np.ndarray,
     interference: InterferenceMap,
-) -> tuple[RateReport, ConstraintReport]:
+) -> RateReport:
     """Realized rates for a full trial plus constraint margins.
 
     users holds one record per user (only its length is read), and
@@ -186,8 +183,9 @@ def evaluate_objective(
     and reused at every power point. One pass over its terms sums each
     bucket's omega * time_share-weighted gains into the (n, r + 1) table;
     block position pos of a user then sees column 0 plus column 1 + pos,
-    whatever rule shared the blocks. The report's arrays follow the map's
-    evaluation order, interference.order.
+    whatever rule shared the blocks. Users are scored, and the sum rate
+    added, in the map's evaluation order; the report's arrays are put
+    back in user-id order.
     """
     im = interference
     n = len(im.order)
@@ -224,13 +222,14 @@ def evaluate_objective(
     else:
         model_margin = float("inf")
         realized_margin = float("inf")
-    report = RateReport(
-        rates=rate_arr, spectral_efficiency=se, sum_rate=sum_rate
-    )
-    constraints = ConstraintReport(
+    scored = np.empty((2, n))  # back to user-id order
+    scored[:, im.order] = (se, rate_arr)
+    return RateReport(
+        rates=scored[1],
+        spectral_efficiency=scored[0],
+        sum_rate=sum_rate,
         power_margin_w=power.p_total - power.spent,
         qos_margin_model=model_margin,
         qos_margin_realized=realized_margin,
         qos_feasible=power.qos_feasible,
     )
-    return report, constraints

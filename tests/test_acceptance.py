@@ -19,7 +19,6 @@ from oracles import correlation_matrix
 
 from hapsim.allocation import QoSSpec, fill_remaining_power, min_power_coefficients
 from hapsim.channel import (
-    ChannelStats,
     LargeScaleFading,
     ScatteringSpread,
     los_channel,
@@ -35,7 +34,7 @@ from hapsim.dofgrid import (
 )
 from hapsim.geometry import AngularCoordinates, ArrayConfig
 from hapsim import cli
-from hapsim.harness import dbm_to_watts, evaluate_trial, place_and_cluster, prepare_trial
+from hapsim.harness import figure_r_values, place_and_cluster, sweep_power
 
 
 def verdict(label: str, ok: bool, detail: str) -> bool:
@@ -275,12 +274,11 @@ def test_06_channel_sampling_moments():
     fading = LargeScaleFading(beta_los=2e-13, beta_nlos=3e-14)
     mean = los_channel(fading, angles, cfg)
     cov = correlation_matrix(angles, spread, fading.beta_nlos, cfg)
-    stats = ChannelStats(mean=mean, covariance=cov)
     rng = np.random.default_rng(6)
     n = 100_000
     draws = np.empty((n, mean.shape[0]), dtype=complex)
     for i in range(n):
-        draws[i] = sample_channel(stats, rng)
+        draws[i] = sample_channel(mean, cov, rng)
     mean_err = np.abs(draws.mean(axis=0) - mean)
     mean_bound = 3.0 * np.sqrt(np.diag(cov).real / n)
     centered = draws - draws.mean(axis=0)
@@ -314,33 +312,27 @@ def _mean_sum_rates(
 ) -> dict[tuple[int, int], dict[float, tuple[float, float]]]:
     """Mean sum rate and standard error per (L, r) and power, 200 trials.
 
-    quadrature_points=8 instead of the default 32. It caps the nodes per
-    axis: at the 2 deg spread the covariance converges at 7, so the cap
-    is not reached, while at 20 deg it converges at 15 and 8 truncates it.
-    The orderings were identical for 6, 8 and 12 points.
+    harness.sweep_power at seed 42, one process, over r_values, which are
+    the bandwidth's figure_r_values. quadrature_points=8 instead of the
+    default 32. It caps the nodes per axis: at the 2 deg spread the
+    covariance converges at 7, so the cap is not reached, while at 20 deg
+    it converges at 15 and 8 truncates it. The orderings were identical
+    for 6, 8 and 12 points.
     """
-    out = {}
-    for r in r_values:
-        cfg = ScenarioConfig(
-            bandwidth=bandwidth,
-            r=r,
-            quadrature_points=8,
-            spread_phi_deg=spread_deg,
-            spread_theta_deg=spread_deg,
-        ).resolve()
-        samples: dict[float, list[float]] = {p: [] for p in powers}
-        for trial in range(ORDERING_TRIALS):
-            state = prepare_trial(cfg, 42, trial)
-            for p_dbm in powers:
-                p = dbm_to_watts(p_dbm)
-                samples[p_dbm].append(evaluate_trial(state, p, p).sum_rate_bps)
-        out[(cfg.subsection_grid().l_count, r)] = {
-            p: (
-                float(np.mean(v)),
-                float(np.std(v, ddof=1) / math.sqrt(len(v))),
-            )
-            for p, v in samples.items()
-        }
+    cfg = ScenarioConfig(
+        bandwidth=bandwidth,
+        quadrature_points=8,
+        spread_phi_deg=spread_deg,
+        spread_theta_deg=spread_deg,
+        trials=ORDERING_TRIALS,
+        seed=42,
+    ).resolve()
+    assert figure_r_values(cfg) == r_values
+    out: dict[tuple[int, int], dict[float, tuple[float, float]]] = {}
+    for row in sweep_power(cfg, powers, workers=1):
+        out.setdefault((row["L"], row["r"]), {})[row["p_max_dbm"]] = (
+            row["mean_sum_rate_bps"], row["stderr"],
+        )
     return out
 
 

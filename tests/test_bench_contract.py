@@ -19,6 +19,7 @@ import hapsim.harness
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY = ROOT / "tests" / "golden" / "tiny.cfg"
+DISK = ROOT / "tests" / "golden" / "disk.cfg"
 
 COMMANDS = {
     "run": ["run"],
@@ -39,12 +40,21 @@ def perfbench():
         del sys.modules[name]
 
 
-def run_commands(out_dir):
+# spans a prepared trial enters exactly once, whatever its placement
+ONCE_PER_TRIAL = (
+    "harness.place_and_cluster", "allocation.cluster_users",
+    "allocation.assign_resource_blocks", "channel.large_scale_fading",
+    "channel.los_channel", "channel.correlation_matrices", "channel.sample_channel",
+    "rate.build_cluster_precoders", "dofgrid.locate",
+)
+
+
+def run_commands(out_dir, config=TINY, commands=COMMANDS):
     outputs = {}
-    for name, argv in COMMANDS.items():
+    for name, argv in commands.items():
         out = out_dir / name
         # looked up at call time, so a traced run goes through the wrapper
-        assert hapsim.cli.main(argv + ["--config", str(TINY), "--out", str(out)]) == 0
+        assert hapsim.cli.main(argv + ["--config", str(config), "--out", str(out)]) == 0
         outputs[name] = (out / f"{name}.csv").read_bytes()
     return outputs
 
@@ -88,6 +98,32 @@ def test_traced_run_matches_untraced(perfbench, tmp_path, capsys):
     assert len({id(users) for users in users_args}) == prepared
     runs = [users_args[0], users_args[1]] + [users_args[2]] * 2 + [users_args[4]] * 2
     assert all(a is b for a, b in zip(users_args, runs))
+    # one user per grid cell: placement, fading, draw, clustering and
+    # precoders once per prepared trial, the allocator once per point
+    for name in ONCE_PER_TRIAL + ("dofgrid.cell_center",):
+        assert stats[name].calls == prepared, name
+    assert stats["geometry.drop_users"].calls == stats["geometry.user_angles"].calls == 0
+    assert stats["allocation.min_power_coefficients"].calls == 6
+    assert (stats["allocation.fill_remaining_power"].calls
+            + stats["allocation.scaled_min_power"].calls) == 6
+
+
+def test_traced_disk_drops_place_once_per_trial(perfbench, tmp_path, capsys):
+    # users_per_trial drops: the disk draw and its angles replace the
+    # cell centres, once per prepared trial
+    tracer = perfbench.Tracer()
+    tracer.install()
+    try:
+        run_commands(tmp_path, DISK, {"run": ["run"]})
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    stats = tracer.stats
+    prepared = stats["harness.prepare_trial"].calls
+    assert prepared == 2
+    for name in ONCE_PER_TRIAL + ("geometry.drop_users", "geometry.user_angles"):
+        assert stats[name].calls == prepared, name
+    assert stats["dofgrid.cell_center"].calls == 0
 
 
 @pytest.mark.parametrize("workload", ["ordering-sweep", "run-q32", "disk-drop"])

@@ -14,7 +14,6 @@ from hapsim.geometry import (
 )
 from hapsim import channel
 from hapsim.channel import (
-    ChannelStats,
     _axis_nodes,
     FadingModel,
     InvalidCovarianceError,
@@ -331,15 +330,13 @@ class TestLargeScaleFading:
 class TestSampleChannel:
     def test_zero_covariance(self):
         mean = np.array([1.0 + 2.0j, -0.5j, 0.25])
-        stats = ChannelStats(mean=mean, covariance=np.zeros((3, 3), dtype=complex))
-        h = sample_channel(stats, np.random.default_rng(0))
+        h = sample_channel(mean, np.zeros((3, 3), dtype=complex), np.random.default_rng(0))
         assert np.array_equal(h, mean)
 
     def test_rejects_indefinite_covariance(self):
         c = np.diag([1.0, -0.5]).astype(complex)
-        stats = ChannelStats(mean=np.zeros(2, dtype=complex), covariance=c)
         with pytest.raises(InvalidCovarianceError):
-            sample_channel(stats, np.random.default_rng(0))
+            sample_channel(np.zeros(2, dtype=complex), c, np.random.default_rng(0))
 
     def test_moments_small(self):
         # quick sanity run; the full 1e5-draw check lives in the acceptance suite
@@ -347,9 +344,8 @@ class TestSampleChannel:
         ang = angles_at(0.3, 0.6)
         c = correlation_matrix(ang, ScatteringSpread(0.03, 0.03), 1.0, cfg, 8)
         mean = np.full(4, 1.0 + 1.0j)
-        stats = ChannelStats(mean=mean, covariance=c)
         rng = np.random.default_rng(11)
-        draws = np.array([sample_channel(stats, rng) for _ in range(20000)])
+        draws = np.array([sample_channel(mean, c, rng) for _ in range(20000)])
         err = np.abs(draws.mean(axis=0) - mean)
         bound = 3 * np.sqrt(np.real(np.trace(c)) / 20000)
         assert np.all(err <= bound)
@@ -403,8 +399,7 @@ class TestBatchedMatchesLoop:
         assert np.array_equal(batch, loop)
         mean = np.full((len(self.angles), self.cfg.m_total), 0.5 - 0.25j)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-        drawn = sample_channel(ChannelStats(mean=mean, covariance=batch), rng_a)
-        looped = [sample_channel(ChannelStats(mean=m, covariance=c), rng_b)
-                  for m, c in zip(mean, batch)]
+        drawn = sample_channel(mean, batch, rng_a)
+        looped = [sample_channel(m, c, rng_b) for m, c in zip(mean, batch)]
         assert np.array_equal(drawn, looped)
         assert rng_a.random() == rng_b.random()

@@ -8,6 +8,7 @@ import pytest
 from conftest import deadline
 from hapsim import cli
 from hapsim.config import ConfigError, ScenarioConfig, load_config, parse_config
+from hapsim.harness import place_and_cluster
 
 FLOAT_KEYS = (
     "coverage_radius", "haps_altitude", "carrier_freq", "bandwidth", "bw_rb",
@@ -97,8 +98,11 @@ class TestNonFinite:
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_cli_rejects(self, key, value, tmp_path, capsys):
         line = f"sigma_sf = 4, {value}" if key == "sigma_sf" else f"{key} = {value}"
+        # the small run's settings, bar the key under test: a key may be set once
+        base = {"bandwidth": "1.8e6", "quadrature_points": "4", "trials": "1"}
+        base.pop(key, None)
         path = tmp_path / "bad.cfg"
-        path.write_text(f"bandwidth = 1.8e6\nquadrature_points = 4\ntrials = 1\n{line}\n")
+        path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + line + "\n")
         with deadline(10.0):
             code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
@@ -171,6 +175,13 @@ class TestParse:
         error = cli_rejects(f"bandwidth = 1.8e6\n{line}\n".encode(), tmp_path, capsys)
         assert error == f"error: line 2: unknown key {line.split(' = ')[0]!r}"
 
+    def test_repeated_key(self, tmp_path, capsys):
+        # a later line does not silently override an earlier one
+        error = cli_rejects(b"bandwidth = 1.8e6\nr = 2\n# r = 1\nr = 3\n", tmp_path, capsys)
+        assert error == "error: line 4: key 'r' already set on line 2"
+        with pytest.raises(ConfigError, match="line 2: key 'seed' already set on line 1"):
+            parse_config("seed = 1\nseed = 1")
+
     def test_syntax_error_carries_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("m_x = 4\nm_y: 3")
@@ -193,24 +204,28 @@ class TestParse:
         assert load_config(None) == ScenarioConfig().resolve()
 
 
+def placed(cfg):
+    """Served plus unserved users of the config's first trial."""
+    served, unserved, _rng = place_and_cluster(cfg, cfg.seed, 0)
+    return len(served.user_id) + unserved
+
+
 class TestDerived:
     def test_full_occupancy_counts_cells(self):
         cfg = ScenarioConfig().resolve()  # r=2, L=25, 2 sections, 6 sectors
         grid = cfg.section_grid()
         sub = cfg.subsection_grid()
-        assert cfg.full_occupancy() == cfg.n_sectors * grid.n_sections * sub.l_count
-        assert cfg.effective_users() == cfg.full_occupancy()
+        assert placed(cfg) == cfg.n_sectors * grid.n_sections * sub.l_count
 
     def test_occupancy_follows_r(self):
         from dataclasses import replace
 
         cfg = ScenarioConfig().resolve()
-        assert replace(cfg, r=1).resolve().effective_users() == 6 * 2 * 49
-        assert replace(cfg, r=3).resolve().effective_users() == 6 * 2 * 16
+        assert placed(replace(cfg, r=1).resolve()) == 6 * 2 * 49
+        assert placed(replace(cfg, r=3).resolve()) == 6 * 2 * 16
 
     def test_explicit_user_count_wins(self):
-        cfg = ScenarioConfig(users_per_trial=77).resolve()
-        assert cfg.effective_users() == 77
+        assert placed(ScenarioConfig(users_per_trial=77).resolve()) == 77
 
     def test_fingerprint_stable_and_sensitive(self):
         a = ScenarioConfig().resolve()

@@ -34,6 +34,11 @@ def fast_cfg(**kw):
     return ScenarioConfig(**merged).resolve()
 
 
+def cell_count(cfg):
+    """Grid cells over all sectors: the full-occupancy user count."""
+    return cfg.n_sectors * cfg.section_grid().n_sections * cfg.subsection_grid().l_count
+
+
 class TestPlumbing:
     def test_dbm_to_watts(self):
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
@@ -57,7 +62,7 @@ class TestPlacement:
         cfg = fast_cfg()
         served, unserved, _ = place_and_cluster(cfg, cfg.seed, 0)
         assert unserved == 0
-        assert len(served.user_id) == cfg.effective_users()
+        assert len(served.user_id) == cell_count(cfg)
         cells = set(zip(served.sector.tolist(), served.section.tolist(),
                         served.subsection.tolist()))
         assert len(cells) == len(served.user_id)  # one user per cell
@@ -150,7 +155,7 @@ def cell_users_ref(cfg, rng):
 
 def disk_users_ref(cfg, rng):
     """users_per_trial disk drops: served (uid, distance, angles, cell), unserved."""
-    count, radius, h = cfg.effective_users(), cfg.coverage_radius, cfg.haps_altitude
+    count, radius, h = cfg.users_per_trial, cfg.coverage_radius, cfg.haps_altitude
     radii = radius * np.sqrt(rng.random(count))
     azimuths = 2.0 * np.pi * rng.random(count)
     n = cfg.n_sectors
@@ -220,7 +225,7 @@ class TestPlacementMatchesLoop:
     def test_full_occupancy(self, kw):
         cfg = fast_cfg(**kw)
         served, _ = self.check(cfg)
-        assert len(served.user_id) == cfg.effective_users()
+        assert len(served.user_id) == cell_count(cfg)
 
     @pytest.mark.parametrize("users", [0, 1, 400, 1200])
     def test_disk_drops(self, users):

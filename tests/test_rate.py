@@ -56,12 +56,16 @@ def alloc(omega, p_max, p_total):
 
 
 def by_user(report, ids):
-    """The report's evaluation-order arrays as dicts keyed by user id."""
+    """The report with its arrays, in user-id order, as dicts keyed by the
+    ascending user ids."""
     return SimpleNamespace(
         rates=dict(zip(ids, report.rates.tolist())),
         spectral_efficiency=dict(zip(ids, report.spectral_efficiency.tolist())),
         sinr=dict(zip(ids, effective_sinr(report.spectral_efficiency))),
         sum_rate=report.sum_rate,
+        power_margin_w=report.power_margin_w,
+        qos_margin_model=report.qos_margin_model,
+        qos_margin_realized=report.qos_margin_realized,
     )
 
 
@@ -86,8 +90,8 @@ def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
         gains[im.order] = im.own_gain
     else:
         gains = np.array([gains[uid] for uid in u.user_id.tolist()])
-    report, cons = evaluate_objective(cells(u), plan, power, qos, rho, bw_rb, gains, im)
-    return by_user(report, u.user_id[im.order].tolist()), cons
+    report = evaluate_objective(cells(u), plan, power, qos, rho, bw_rb, gains, im)
+    return by_user(report, u.user_id.tolist())
 
 
 def plan_for(users, r, nbr=50):
@@ -155,7 +159,7 @@ class TestSinr:
         ang = mu_only(0.3, 0.4)
         users, plan = one_cluster([ang], [2.0 * steer(ang)])  # |h^H p|^2 = 4
         power = alloc({0: 0.25}, p_max=1.0, p_total=1.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=8.0)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho=8.0)
         assert report.sinr[0] == pytest.approx(8.0 * 0.25 * 4.0, rel=1e-12)
         assert report.rates[0] == pytest.approx(180e3 * np.log2(9.0), rel=1e-12)
 
@@ -163,7 +167,7 @@ class TestSinr:
         angles = [mu_only(0.1, 0.2), mu_only(0.6, 0.2)]
         users, plan = one_cluster(angles, [steer(a) for a in angles])
         power = alloc({0: 1.0, 1: 1.0}, p_max=1.0, p_total=2.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
         # interference-free: sinr = rho * omega * |h^H p|^2 = 1
         assert report.sinr[0] == pytest.approx(1.0, rel=1e-9)
 
@@ -174,7 +178,7 @@ class TestSinr:
         omega = {0: 0.2, 1: 0.5, 2: 0.1}
         rho = 3.0
         power = alloc(omega, p_max=1.0, p_total=1.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho)
         sig = rho * omega[1] * abs(np.vdot(channels[1], steer(angles[1]))) ** 2
         intf = sum(
             rho * omega[k] * abs(np.vdot(channels[1], steer(angles[k]))) ** 2
@@ -187,9 +191,9 @@ class TestSinr:
         channels = random_channels(0, 2)
         power = alloc({0: 0.4, 1: 0.6}, p_max=1.0, p_total=1.0)
         qos = QoSSpec(r_min=0.0)
-        base, _ = objective(*one_cluster(angles, channels), power, qos, 2.0)
+        base = objective(*one_cluster(angles, channels), power, qos, 2.0)
         rotated = [channels[0] * np.exp(1j * 1.234), channels[1]]
-        rot, _ = objective(*one_cluster(angles, rotated), power, qos, 2.0)
+        rot = objective(*one_cluster(angles, rotated), power, qos, 2.0)
         for uid in (0, 1):
             assert rot.sinr[uid] == pytest.approx(base.sinr[uid], rel=1e-12)
             assert rot.rates[uid] == pytest.approx(base.rates[uid], rel=1e-12)
@@ -202,7 +206,7 @@ class TestRate:
         ang = mu_only(0.2, 0.3)
         users, plan = one_cluster([ang], [steer(ang)], r=r, ts=ts)
         power = alloc({0: omega}, p_max=1.0, p_total=1.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho=1.0)
         return report.rates[0]
 
     def test_zero_sinr(self):
@@ -232,18 +236,18 @@ class TestEvaluateObjective:
         users, plan = two_user_setup()
         solo = [users[0]]
         power = alloc({0: 0.5}, p_max=2.0, p_total=2.0)
-        report, cons = objective(solo, plan, power, QoSSpec(r_min=0.0), rho=4.0)
+        report = objective(solo, plan, power, QoSSpec(r_min=0.0), rho=4.0)
         assert report.sum_rate == pytest.approx(report.rates[0])
         # closed form: 2 blocks of bw_rb at log2(1 + rho omega |h^H p|^2)
         expect = 2 * 180e3 * np.log2(1 + 4.0 * 0.5 * 1.0)
         assert report.rates[0] == pytest.approx(expect, rel=1e-12)
-        assert cons.power_margin_w == pytest.approx(2.0 - 2.0 * 0.5)
-        assert cons.qos_margin_model == pytest.approx(np.log2(3.0))
+        assert report.power_margin_w == pytest.approx(2.0 - 2.0 * 0.5)
+        assert report.qos_margin_model == pytest.approx(np.log2(3.0))
 
     def test_orthogonal_pair_equals_interference_free(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
         power = alloc({0: 0.3, 1: 0.7}, p_max=1.0, p_total=1.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=5.0)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho=5.0)
         for uid in (0, 1):
             free = 2 * 180e3 * np.log2(1 + 5.0 * power.omega[uid])
             assert report.rates[uid] == pytest.approx(free, rel=1e-9)
@@ -251,7 +255,7 @@ class TestEvaluateObjective:
     def test_non_orthogonal_below_interference_free(self):
         users, plan = two_user_setup(mu2=0.1 + 0.37)
         power = alloc({0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=50.0)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho=50.0)
         for uid in (0, 1):
             free = 2 * 180e3 * np.log2(1 + 50.0 * 0.5)
             assert report.rates[uid] < free
@@ -261,22 +265,22 @@ class TestEvaluateObjective:
         lo = alloc({0: 0.2, 1: 0.2}, p_max=1.0, p_total=1.0)
         hi = alloc({0: 0.4, 1: 0.4}, p_max=1.0, p_total=1.0)
         qos = QoSSpec(r_min=0.0)
-        r_lo, _ = objective(users, plan, lo, qos, 5.0)
-        r_hi, _ = objective(users, plan, hi, qos, 5.0)
+        r_lo = objective(users, plan, lo, qos, 5.0)
+        r_hi = objective(users, plan, hi, qos, 5.0)
         assert all(r_hi.rates[u] >= r_lo.rates[u] - 1e-9 for u in (0, 1))
 
     def test_constraint_margins_hand_checked(self):
         users, plan = two_user_setup(mu2=0.1 + 0.5)
         power = alloc({0: 0.25, 1: 0.25}, p_max=2.0, p_total=4.0)
         gains = {0: 1.0, 1: 1.0}
-        report, cons = objective(
+        report = objective(
             users, plan, power, QoSSpec(r_min=1.0), rho=8.0, gains=gains
         )
-        assert cons.power_margin_w == pytest.approx(4.0 - 2.0 * 0.5)
+        assert report.power_margin_w == pytest.approx(4.0 - 2.0 * 0.5)
         # model SE = log2(1 + 8 * 0.25) = log2(3)
-        assert cons.qos_margin_model == pytest.approx(np.log2(3.0) - 1.0)
+        assert report.qos_margin_model == pytest.approx(np.log2(3.0) - 1.0)
         # orthogonal pair: realized SE equals the model SE
-        assert cons.qos_margin_realized == pytest.approx(np.log2(3.0) - 1.0)
+        assert report.qos_margin_realized == pytest.approx(np.log2(3.0) - 1.0)
 
     def test_time_shared_cell_splits_rate(self):
         a = mu_only(0.2, 0.4)
@@ -285,7 +289,7 @@ class TestEvaluateObjective:
         users = [served(0, c, a, h, ts=0.5), served(1, c, a, h, ts=0.5)]
         plan = plan_for(users, 1)
         power = alloc({0: 0.5, 1: 0.5}, p_max=1.0, p_total=1.0)
-        report, _ = objective(users, plan, power, QoSSpec(r_min=0.0), rho=10.0)
+        report = objective(users, plan, power, QoSSpec(r_min=0.0), rho=10.0)
         # same channel, same omega, half airtime each
         assert report.rates[0] == pytest.approx(report.rates[1], rel=1e-12)
         full = 180e3 * np.log2(1 + 10.0 * 0.5)
@@ -294,10 +298,10 @@ class TestEvaluateObjective:
     def test_empty_input(self):
         _, plan = two_user_setup()
         power = alloc({}, p_max=1.0, p_total=1.0)
-        report, cons = objective([], plan, power, QoSSpec(r_min=1.0), rho=1.0)
+        report = objective([], plan, power, QoSSpec(r_min=1.0), rho=1.0)
         assert report.sum_rate == 0.0
-        assert cons.power_margin_w == 1.0
-        assert cons.qos_margin_model == float("inf")
+        assert report.power_margin_w == 1.0
+        assert report.qos_margin_model == float("inf")
 
     def test_map_of_another_trial_raises(self):
         users, plan = two_user_setup()
@@ -383,11 +387,11 @@ class TestInterferenceMapMatchesLoop:
                  zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
         power = alloc(omega, p_max=1.0, p_total=1.0)
         rho = cfg.rho()
-        report, _ = evaluate_objective(
+        report = evaluate_objective(
             state.users, state.plan, power, QoSSpec(), rho, cfg.bw_rb,
             state.gain, state.interference,
         )
-        report = by_user(report, state.user_id[state.interference.order].tolist())
+        report = by_user(report, state.user_id.tolist())
         rates, ses, total = reference_objective(
             users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
         )
@@ -550,11 +554,11 @@ class TestScoringIgnoresBlockRule:
 
         omega = {v.user_id: float(w) for v, w in
                  zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
-        report, _ = evaluate_objective(
+        report = evaluate_objective(
             cells(u), plan, alloc(omega, 1.0, 1.0), QoSSpec(), 300.0, 180e3,
             np.ones(len(users)), im,
         )
-        report = by_user(report, u.user_id[im.order].tolist())
+        report = by_user(report, u.user_id.tolist())
         rates, ses, total = reference_objective(users, plan, omega, 300.0, 180e3, CFG)
         assert report.rates == rates
         assert report.spectral_efficiency == ses
