@@ -84,9 +84,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         overrides["seed"] = args.seed
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if overrides:
-        cfg = replace(cfg, **overrides).resolve()
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _parse_list(text: str, convert: Callable[[str], object], option: str) -> tuple:
@@ -180,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             name = "heatmap"
             summary = _heatmap_defect(cfg, ids, matrix)
     except (ConfigError, OSError) as exc:
-        # harness.sweep_rb resolves each --r value before any trial runs
+        # harness.sweep_rb validates each --r config before any trial runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {out / (name + '.csv')}")

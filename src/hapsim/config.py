@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .allocation import QoSSpec
@@ -34,9 +34,9 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     """Full description of one simulated deployment.
 
-    None-valued fields are derived at resolve() time: nbr from the system
-    bandwidth, p_total from p_max. users_per_trial None places one user
-    in every grid cell.
+    Construction, dataclasses.replace included, derives the None-valued
+    fields (nbr from the system bandwidth, p_total from p_max) and validates.
+    users_per_trial None places one user in every grid cell.
     """
 
     coverage_radius: float = 100e3
@@ -104,8 +104,6 @@ class ScenarioConfig:
         overflows it leaves the allocator no finite step costs.
         """
         p = self.p_max if p_max is None else p_max
-        if self.nbr is None:
-            raise ConfigError("rho requires a resolved config (nbr is None)")
         rho = p / (self.noise_w_per_hz() * self.r * self.bw_rb)
         if not 0.0 < rho < math.inf:
             raise ConfigError(f"p_max {p!r} W gives rho {rho!r}; it must be finite and > 0")
@@ -123,14 +121,11 @@ class ScenarioConfig:
         )
 
     def subsection_grid(self) -> SubsectionGrid:
-        if self.nbr is None:
-            raise ConfigError("subsection_grid requires a resolved config")
         return subsections_per_section(self.nbr, self.r, self.array_config())
 
-    # -- resolution and validation ------------------------------------------
+    # -- derivation and validation ------------------------------------------
 
-    def resolve(self) -> "ScenarioConfig":
-        """Fill derived fields and validate; harness entry points need this."""
+    def __post_init__(self) -> None:
         # before anything is derived from them: NaN passes every range
         # check below, and inf bandwidth breaks the nbr derivation
         for f in fields(self):
@@ -138,22 +133,6 @@ class ScenarioConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        nbr = self.nbr
-        if nbr is None:
-            if self.bandwidth == 10e6:
-                nbr = 50
-            elif self.bandwidth == 20e6:
-                nbr = 100
-            else:
-                nbr = int(self.bandwidth // self.bw_rb)
-        p_total = self.p_max if self.p_total is None else self.p_total
-        cfg = replace(self, nbr=nbr, p_total=p_total)
-        cfg._validate()
-        if cfg.users_per_trial is not None and cfg.users_per_trial < 0:
-            raise ConfigError("users_per_trial must be >= 0")
-        return cfg
-
-    def _validate(self) -> None:
         positive = (
             "coverage_radius", "haps_altitude", "carrier_freq", "bandwidth",
             "bw_rb", "p_max", "d_h", "d_v",
@@ -161,13 +140,20 @@ class ScenarioConfig:
         for key in positive:
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0")
+        if self.nbr is None:  # bw_rb > 0 by now
+            object.__setattr__(self, "nbr", {10e6: 50, 20e6: 100}.get(
+                self.bandwidth, int(self.bandwidth // self.bw_rb)))
+        if self.p_total is None:
+            object.__setattr__(self, "p_total", self.p_max)
         for key in ("m_x", "m_y", "n_sectors", "r", "nbr", "trials",
                     "quadrature_points"):
             if int(getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         self.rho()
-        if self.p_total is not None and self.p_total <= 0:
+        if self.p_total <= 0:
             raise ConfigError("p_total must be > 0")
+        if self.users_per_trial is not None and self.users_per_trial < 0:
+            raise ConfigError("users_per_trial must be >= 0")
         if self.r_min < 0:
             raise ConfigError("r_min must be >= 0")
         if self.delta_r <= 0:
@@ -178,9 +164,9 @@ class ScenarioConfig:
             raise ConfigError("sigma_sf must be two values >= 0")
         if not (0 <= self.spread_phi_deg <= 180 and 0 <= self.spread_theta_deg <= 90):
             raise ConfigError("spread_phi_deg must be in [0, 180], spread_theta_deg in [0, 90]")
-        if self.nbr is not None and self.nbr * self.bw_rb > self.bandwidth + self.bw_rb:
+        if self.nbr * self.bw_rb > self.bandwidth + self.bw_rb:
             raise ConfigError("nbr does not fit in bandwidth at bw_rb")
-        if self.r > (self.nbr or self.r):
+        if self.r > self.nbr:
             raise ConfigError("r cannot exceed nbr")
         n_phi, n_theta = self.dof()
         if n_phi < 1:
@@ -220,7 +206,7 @@ _ALL_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse key=value lines into a resolved ScenarioConfig."""
+    """Parse key=value lines into a ScenarioConfig."""
     values: dict[str, object] = {}
     seen: dict[str, int] = {}  # key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -247,15 +233,14 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     try:
-        cfg = ScenarioConfig(**values)  # type: ignore[arg-type]
+        return ScenarioConfig(**values)  # type: ignore[arg-type]
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg.resolve()
 
 
 def load_config(path: str | Path | None = None) -> ScenarioConfig:
     if path is None:
-        return ScenarioConfig().resolve()
+        return ScenarioConfig()
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -40,7 +40,9 @@ from .channel import (
     sample_channel,
 )
 from .config import ConfigError, ScenarioConfig
-from .dofgrid import GridCell, cell_center, locate, steering_correlation
+from .dofgrid import (
+    GridCell, SectionGrid, SubsectionGrid, cell_center, locate, steering_correlation,
+)
 from .geometry import (
     AngularCoordinates,
     drop_users,
@@ -76,6 +78,18 @@ def figure_r_values(cfg: ScenarioConfig) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
+class Placement:
+    """Served users of one trial, arrays in user-id order."""
+
+    user_id: np.ndarray
+    distance: np.ndarray  # slant range to the platform, m
+    angles: AngularCoordinates
+    sector: np.ndarray
+    section: np.ndarray
+    subsection: np.ndarray
+
+
+@dataclass(frozen=True)
 class TrialState:
     """Power-independent part of one trial.
 
@@ -86,10 +100,7 @@ class TrialState:
 
     cfg: ScenarioConfig
     trial: int
-    user_id: np.ndarray
-    sector: np.ndarray
-    section: np.ndarray
-    subsection: np.ndarray
+    served: Placement
     time_share: np.ndarray
     # allocator gain: the transmitter only knows channel statistics, so
     # QoS is budgeted on the deterministic matched-beam direct-path gain
@@ -129,18 +140,6 @@ class TrialRecord:
     rate_bps: np.ndarray = _column()
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Served users of one trial, arrays in user-id order."""
-
-    user_id: np.ndarray
-    distance: np.ndarray  # slant range to the platform, m
-    angles: AngularCoordinates
-    sector: np.ndarray
-    section: np.ndarray
-    subsection: np.ndarray
-
-
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
@@ -151,52 +150,47 @@ def _acos(x: np.ndarray) -> np.ndarray:
     return np.array([math.acos(v) for v in x.tolist()])
 
 
-def _cell_users(cfg: ScenarioConfig, rng: np.random.Generator) -> Placement:
-    """One user per grid cell, uniform within the cell in beam coordinates.
+def _cell_users(
+    cfg: ScenarioConfig, sgrid: SectionGrid, subgrid: SubsectionGrid,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, AngularCoordinates]:
+    """One draw per grid cell, uniform within the cell in beam coordinates:
+    (sector, slant range, angles).
 
     This is the occupancy regime the figure sweeps assume. Users live in
     (mu_phi, mu_h) space: slant distance follows from mu_h; the azimuth
     handed to the scattering model is the nearest physical one (the grid's
     azimuth interval is the idealized beam span, which overhangs the set of
-    directions a ground user can actually produce). User ids run over
-    sectors, then sections, then subsections; each user draws its two
-    uniforms in that order.
+    directions a ground user can actually produce). Draws run over
+    sectors, then sections, then subsections; each draws its two uniforms
+    in that order.
     """
-    sgrid = cfg.section_grid()
-    subgrid = cfg.subsection_grid()
     per_sector = sgrid.n_sections * subgrid.l_count
     section = np.repeat(np.arange(1, sgrid.n_sections + 1), subgrid.l_count)
     subsection = np.tile(np.arange(1, subgrid.l_count + 1), sgrid.n_sections)
     c_phi, c_h = cell_center(sgrid, subgrid, section, subsection)
-    n = cfg.n_sectors * per_sector
-    u = rng.random((n, 2))
+    u = rng.random((cfg.n_sectors * per_sector, 2))
     mu_phi = np.tile(c_phi, cfg.n_sectors) + (u[:, 0] - 0.5) * subgrid.delta_phi
     mu_h = np.tile(c_h, cfg.n_sectors) + (u[:, 1] - 0.5) * subgrid.delta_h
     mu_h = np.minimum(np.maximum(mu_h, 0.0), sgrid.mu_h_range[1])
     sin_el = np.sqrt(np.maximum(1.0 - mu_h * mu_h, 1e-12))
-    angles = AngularCoordinates(
-        azimuth=_acos(np.clip(mu_phi / sin_el, -1.0, 1.0)),
-        elevation=_acos(np.minimum(mu_h, 1.0)),
-        mu_phi=mu_phi,
-        mu_h=mu_h,
-    )
-    # every draw lies inside its own cell, so inside the grid
-    located_section, located_subsection, _inside = locate(angles, sgrid, subgrid)
-    return Placement(
-        user_id=np.arange(1, n + 1),
-        distance=cfg.haps_altitude / sin_el,
-        angles=angles,
-        sector=np.repeat(np.arange(1, cfg.n_sectors + 1), per_sector),
-        section=located_section,
-        subsection=located_subsection,
+    return (
+        np.repeat(np.arange(1, cfg.n_sectors + 1), per_sector),
+        cfg.haps_altitude / sin_el,
+        AngularCoordinates(
+            azimuth=_acos(np.clip(mu_phi / sin_el, -1.0, 1.0)),
+            elevation=_acos(np.minimum(mu_h, 1.0)),
+            mu_phi=mu_phi,
+            mu_h=mu_h,
+        ),
     )
 
 
 def _disk_users(
     cfg: ScenarioConfig, rng: np.random.Generator
-) -> tuple[Placement, int]:
-    """users_per_trial positions i.i.d. uniform over the coverage disk;
-    drops outside the sector's grid are counted, not served."""
+) -> tuple[np.ndarray, np.ndarray, AngularCoordinates]:
+    """users_per_trial positions i.i.d. uniform over the coverage disk:
+    (sector, slant range, angles)."""
     positions = drop_users(
         cfg.users_per_trial, cfg.coverage_radius, cfg.haps_altitude, rng
     )
@@ -204,23 +198,7 @@ def _disk_users(
         np.arctan2(positions.ground_y, positions.ground_x), cfg.n_sectors
     )
     angles = user_angles(positions, sector_boresight(sector, cfg.n_sectors))
-    section, subsection, inside = locate(
-        angles, cfg.section_grid(), cfg.subsection_grid()
-    )
-    keep = np.flatnonzero(inside)
-    return Placement(
-        user_id=keep + 1,
-        distance=positions.distance_3d[keep],
-        angles=AngularCoordinates(
-            azimuth=angles.azimuth[keep],
-            elevation=angles.elevation[keep],
-            mu_phi=angles.mu_phi[keep],
-            mu_h=angles.mu_h[keep],
-        ),
-        sector=sector[keep],
-        section=section[keep],
-        subsection=subsection[keep],
-    ), len(inside) - len(keep)
+    return sector, positions.distance_3d, angles
 
 
 def place_and_cluster(
@@ -230,17 +208,31 @@ def place_and_cluster(
 
     Default (users_per_trial unset): one user per cell, the full-occupancy
     figure regime. With users_per_trial set: that many uniform-disk drops,
-    which can leave cells empty, stack users into one cell (they then
-    time-share), or fall outside the grid (counted as unserved).
+    which can leave cells empty or stack users into one cell (they then
+    time-share). Either way every draw is located once on the grid, and
+    one that falls outside it is counted as unserved; user ids number the
+    draws from 1, so they skip the unserved.
 
     Returns (served, unserved_count, rng); the rng is handed back so callers
     that continue with fading draws stay on one deterministic stream.
     """
     rng = trial_rng(master_seed, trial)
+    sgrid, subgrid = cfg.section_grid(), cfg.subsection_grid()
     if cfg.users_per_trial is None:
-        return _cell_users(cfg, rng), 0, rng
-    served, unserved = _disk_users(cfg, rng)
-    return served, unserved, rng
+        sector, distance, angles = _cell_users(cfg, sgrid, subgrid, rng)
+    else:
+        sector, distance, angles = _disk_users(cfg, rng)
+    section, subsection, inside = locate(angles, sgrid, subgrid)
+    keep = np.flatnonzero(inside)
+    served = Placement(
+        user_id=keep + 1,
+        distance=distance[keep],
+        angles=AngularCoordinates(**{k: v[keep] for k, v in vars(angles).items()}),
+        sector=sector[keep],
+        section=section[keep],
+        subsection=subsection[keep],
+    )
+    return served, len(inside) - len(keep), rng
 
 
 def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialState:
@@ -280,10 +272,7 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     return TrialState(
         cfg=cfg,
         trial=trial,
-        user_id=served.user_id,
-        sector=served.sector,
-        section=served.section,
-        subsection=served.subsection,
+        served=served,
         time_share=groups.time_share,
         gain=fading.beta_los,
         channels=channels,
@@ -318,15 +307,15 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
     return TrialRecord(
         trial=state.trial,
         sum_rate_bps=report.sum_rate,
-        qos_feasible=report.qos_feasible,
+        qos_feasible=power.qos_feasible,
         power_margin_w=report.power_margin_w,
         qos_margin_model=report.qos_margin_model,
         qos_margin_realized=report.qos_margin_realized,
         unserved=state.unserved,
-        users=state.user_id,
-        sector=state.sector,
-        section=state.section,
-        subsection=state.subsection,
+        users=state.served.user_id,
+        sector=state.served.sector,
+        section=state.served.section,
+        subsection=state.served.subsection,
         time_share=state.time_share,
         omega=power.omega,
         spectral_efficiency=report.spectral_efficiency,
@@ -392,7 +381,7 @@ def sweep_power(
     """
     powers = tuple(float(p) for p in powers_dbm)
     r_values = figure_r_values(cfg)
-    configs = [replace(cfg, r=r).resolve() for r in r_values]
+    configs = [replace(cfg, r=r) for r in r_values]
     for dbm in powers:  # fail before any trial runs
         for cfg_r in configs:
             try:
@@ -439,7 +428,7 @@ def sweep_rb(
 ) -> list[dict[str, object]]:
     """Per-user rate samples for each blocks-per-user choice (CDF data)."""
     r_set = tuple(r_values) if r_values is not None else figure_r_values(cfg)
-    configs = [replace(cfg, r=r).resolve() for r in r_set]
+    configs = [replace(cfg, r=r) for r in r_set]
     tasks = [(cfg_r, cfg.seed, t) for cfg_r in configs for t in range(cfg.trials)]
     rows: list[tuple] = []
     for (cfg_r, _seed, t), rec in zip(tasks, _map_tasks(run_trial, tasks, workers)):

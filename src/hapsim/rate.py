@@ -44,7 +44,6 @@ class RateReport:
     power_margin_w: float             # p_total - p_max * sum(omega)
     qos_margin_model: float           # min over users, allocator gain model
     qos_margin_realized: float        # min over users, with interference
-    qos_feasible: bool
 
 
 def effective_sinr(spectral_efficiency: np.ndarray) -> list[float]:
@@ -231,5 +230,4 @@ def evaluate_objective(
         power_margin_w=power.p_total - power.spent,
         qos_margin_model=model_margin,
         qos_margin_realized=realized_margin,
-        qos_feasible=power.qos_feasible,
     )

@@ -215,18 +215,14 @@ def user_arrays(users):
     )
 
 
-def trial_users(state, seed):
-    """A prepared trial's users as per-user records, in user-id order; the
-    mu coordinates come from placing the trial's users again."""
-    from hapsim.harness import place_and_cluster
-
-    served, _unserved, _rng = place_and_cluster(state.cfg, seed, state.trial)
-    assert np.array_equal(served.user_id, state.user_id)
+def trial_users(state):
+    """A prepared trial's users as per-user records, in user-id order."""
+    served = state.served
     return [
         ServedUser(uid, GridCell(*cell), mu_phi, mu_h, channel, share)
         for uid, *cell, mu_phi, mu_h, channel, share in zip(
-            state.user_id.tolist(), state.sector.tolist(), state.section.tolist(),
-            state.subsection.tolist(), served.angles.mu_phi.tolist(),
+            served.user_id.tolist(), served.sector.tolist(), served.section.tolist(),
+            served.subsection.tolist(), served.angles.mu_phi.tolist(),
             served.angles.mu_h.tolist(), state.channels, state.time_share.tolist(),
         )
     ]

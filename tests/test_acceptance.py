@@ -326,7 +326,7 @@ def _mean_sum_rates(
         spread_theta_deg=spread_deg,
         trials=ORDERING_TRIALS,
         seed=42,
-    ).resolve()
+    )
     assert figure_r_values(cfg) == r_values
     out: dict[tuple[int, int], dict[float, tuple[float, float]]] = {}
     for row in sweep_power(cfg, powers, workers=1):
@@ -535,7 +535,7 @@ def test_08_cocluster_correlation_trend():
     for r, l_count in ((3, 16), (2, 25), (1, 49)):
         cfg = ScenarioConfig(
             bandwidth=10e6, r=r, m_x=8, m_y=8, n_sectors=2
-        ).resolve()
+        )
         assert cfg.subsection_grid().l_count == l_count
         total = 0.0
         count = 0

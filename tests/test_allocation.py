@@ -413,7 +413,7 @@ class TestFillMatchesHeap:
         from hapsim.config import ScenarioConfig
         from hapsim.harness import dbm_to_watts, prepare_trial
 
-        cfg = ScenarioConfig(bandwidth=20e6, r=1, quadrature_points=2).resolve()
+        cfg = ScenarioConfig(bandwidth=20e6, r=1, quadrature_points=2)
         state = prepare_trial(cfg, 42, 0)
         p = dbm_to_watts(50.0)
         rho, qos = cfg.rho(p), cfg.qos()
@@ -426,6 +426,6 @@ class TestFillMatchesHeap:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        gains = dict(zip(state.user_id.tolist(), state.gain.tolist()))
+        gains = dict(zip(state.served.user_id.tolist(), state.gain.tolist()))
         want = reference_fill(by_id(gains, omega_min), gains, rho, p, p, qos)
         assert list(by_id(gains, got.omega).items()) == list(want.omega.items())

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +33,7 @@ def test_readme_table_lists_every_key():
 
 class TestDefaults:
     def test_table_defaults(self):
-        cfg = ScenarioConfig().resolve()
+        cfg = ScenarioConfig()
         assert cfg.coverage_radius == 100e3
         assert cfg.haps_altitude == 20e3
         assert cfg.carrier_freq == 2.5e9
@@ -49,23 +49,23 @@ class TestDefaults:
         assert cfg.p_total == cfg.p_max
 
     def test_empty_text_gives_defaults(self):
-        assert parse_config("") == ScenarioConfig().resolve()
+        assert parse_config("") == ScenarioConfig()
 
     def test_20mhz_resolves_nbr_100(self):
-        cfg = ScenarioConfig(bandwidth=20e6).resolve()
+        cfg = ScenarioConfig(bandwidth=20e6)
         assert cfg.nbr == 100
 
     def test_other_bandwidth_divides(self):
-        cfg = ScenarioConfig(bandwidth=1.8e6).resolve()
+        cfg = ScenarioConfig(bandwidth=1.8e6)
         assert cfg.nbr == 10
 
     def test_noise_level(self):
-        cfg = ScenarioConfig().resolve()
+        cfg = ScenarioConfig()
         # -174 dBm/Hz + 7 dB figure, in W/Hz
         assert cfg.noise_w_per_hz() == pytest.approx(10 ** ((-174 + 7 - 30) / 10))
 
     def test_rho(self):
-        cfg = ScenarioConfig(r=2).resolve()
+        cfg = ScenarioConfig(r=2)
         expect = cfg.p_max / (cfg.noise_w_per_hz() * 2 * 180e3)
         assert cfg.rho() == pytest.approx(expect)
 
@@ -73,20 +73,37 @@ class TestDefaults:
 class TestValidation:
     def test_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="m_x"):
-            ScenarioConfig(m_x=0).resolve()
+            ScenarioConfig(m_x=0)
         with pytest.raises(ConfigError, match="bw_rb"):
-            ScenarioConfig(bw_rb=-1.0).resolve()
+            ScenarioConfig(bw_rb=-1.0)
 
     def test_zero_dof_rejected(self):
         # 4-element rows cannot resolve a 16-sector wedge
         with pytest.raises(ConfigError, match="n_sectors"):
-            ScenarioConfig(n_sectors=16).resolve()
+            ScenarioConfig(n_sectors=16)
         with pytest.raises(ConfigError, match="coverage_radius"):
-            ScenarioConfig(coverage_radius=1e3).resolve()
+            ScenarioConfig(coverage_radius=1e3)
 
     def test_bandwidth_below_rb(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig(bandwidth=100e3).resolve()
+            ScenarioConfig(bandwidth=100e3)
+
+    def test_valid_once_it_exists(self):
+        # construction derives and validates; no further call is needed,
+        # and dataclasses.replace checks the new values too
+        cfg = ScenarioConfig(bandwidth=20e6)
+        assert cfg.nbr == 100
+        assert cfg.p_total == cfg.p_max
+        with pytest.raises(ConfigError, match="^r must be >= 1$"):
+            replace(ScenarioConfig(), r=0)
+        with pytest.raises(ConfigError, match="spread_phi_deg must be in"):
+            replace(ScenarioConfig(), spread_phi_deg=181.0)
+
+    def test_zero_block_width(self, tmp_path, capsys):
+        # a bandwidth other than 10 or 20 MHz derives nbr by dividing by
+        # bw_rb, which must be rejected first, not raise ZeroDivisionError
+        error = cli_rejects(b"bandwidth = 1.8e6\nbw_rb = 0\n", tmp_path, capsys)
+        assert error == "error: bw_rb must be > 0"
 
 
 class TestNonFinite:
@@ -148,7 +165,7 @@ class TestPowerRange:
 
     @pytest.mark.parametrize("watts", [0.0, -1.0, 1e308, math.inf])
     def test_rho_must_be_finite_and_positive(self, watts):
-        cfg = ScenarioConfig(bandwidth=1.8e6).resolve()
+        cfg = ScenarioConfig(bandwidth=1.8e6)
         with pytest.raises(ConfigError, match="rho"):
             cfg.rho(watts)
 
@@ -201,7 +218,7 @@ class TestParse:
             load_config(tmp_path / "bad.cfg")
 
     def test_load_default(self):
-        assert load_config(None) == ScenarioConfig().resolve()
+        assert load_config(None) == ScenarioConfig()
 
 
 def placed(cfg):
@@ -212,30 +229,28 @@ def placed(cfg):
 
 class TestDerived:
     def test_full_occupancy_counts_cells(self):
-        cfg = ScenarioConfig().resolve()  # r=2, L=25, 2 sections, 6 sectors
+        cfg = ScenarioConfig()  # r=2, L=25, 2 sections, 6 sectors
         grid = cfg.section_grid()
         sub = cfg.subsection_grid()
         assert placed(cfg) == cfg.n_sectors * grid.n_sections * sub.l_count
 
     def test_occupancy_follows_r(self):
-        from dataclasses import replace
-
-        cfg = ScenarioConfig().resolve()
-        assert placed(replace(cfg, r=1).resolve()) == 6 * 2 * 49
-        assert placed(replace(cfg, r=3).resolve()) == 6 * 2 * 16
+        cfg = ScenarioConfig()
+        assert placed(replace(cfg, r=1)) == 6 * 2 * 49
+        assert placed(replace(cfg, r=3)) == 6 * 2 * 16
 
     def test_explicit_user_count_wins(self):
-        assert placed(ScenarioConfig(users_per_trial=77).resolve()) == 77
+        assert placed(ScenarioConfig(users_per_trial=77)) == 77
 
     def test_fingerprint_stable_and_sensitive(self):
-        a = ScenarioConfig().resolve()
-        b = ScenarioConfig().resolve()
-        c = ScenarioConfig(seed=43).resolve()
+        a = ScenarioConfig()
+        b = ScenarioConfig()
+        c = ScenarioConfig(seed=43)
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
     def test_qos_roundtrip(self):
-        cfg = ScenarioConfig(r_min=2.0, delta_r=0.1).resolve()
+        cfg = ScenarioConfig(r_min=2.0, delta_r=0.1)
         qos = cfg.qos()
         assert qos.r_min == 2.0
         assert qos.delta_r == 0.1

@@ -377,9 +377,9 @@ class TestInterferenceMapMatchesLoop:
         from hapsim.config import ScenarioConfig
         from hapsim.harness import prepare_trial
 
-        cfg = ScenarioConfig(quadrature_points=4, seed=3, **kw).resolve()
+        cfg = ScenarioConfig(quadrature_points=4, seed=3, **kw)
         state = prepare_trial(cfg, cfg.seed, 0)
-        users = trial_users(state, cfg.seed)
+        users = trial_users(state)
         assert state.plan.reuse == reuse
         assert any(u.time_share < 1.0 for u in users) == shared
         rng = np.random.default_rng(4)
@@ -391,7 +391,7 @@ class TestInterferenceMapMatchesLoop:
             state.users, state.plan, power, QoSSpec(), rho, cfg.bw_rb,
             state.gain, state.interference,
         )
-        report = by_user(report, state.user_id.tolist())
+        report = by_user(report, state.served.user_id.tolist())
         rates, ses, total = reference_objective(
             users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
         )
@@ -477,14 +477,14 @@ class TestArrayTrialMatchesOracles:
         from hapsim.harness import prepare_trial
 
         base = dict(bandwidth=1.8e6, m_y=8, quadrature_points=2, seed=7)
-        cfg = ScenarioConfig(**{**base, **kw}).resolve()
+        cfg = ScenarioConfig(**{**base, **kw})
         for trial in range(2):
             state = prepare_trial(cfg, cfg.seed, trial)
             assert state.plan.reuse == reuse
             assert bool(np.any(state.time_share < 1.0)) == shared
             assert_equals_oracles(
-                state.user_id, state.time_share, state.plan, state.interference,
-                trial_users(state, cfg.seed), cfg.array_config(),
+                state.served.user_id, state.time_share, state.plan, state.interference,
+                trial_users(state), cfg.array_config(),
             )
 
     @pytest.mark.parametrize("nbr, r", [(50, 2), (10, 3)])
