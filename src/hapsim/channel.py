@@ -304,23 +304,23 @@ def sample_channel(
     m = mean.shape[-1]
     if c.shape != mean.shape + (m,):
         raise ValueError("covariance shape does not match mean")
-    # stacked covariances per eigh call: _CHUNK_ENTRIES complex entries,
-    # for the same memory reason as in correlation_matrices
+    # one user is a stack of one; each eigh call takes at most
+    # _CHUNK_ENTRIES complex entries, for the memory reason of correlation_matrices
+    means, covs = mean.reshape(-1, m), c.reshape(-1, m, m)
+    out = np.empty(means.shape, dtype=complex)
     step = max(1, _CHUNK_ENTRIES // (m * m))
-    if mean.ndim == 2 and len(mean) > step:
-        return np.concatenate([
-            sample_channel(mean[lo:lo + step], c[lo:lo + step], rng)
-            for lo in range(0, len(mean), step)
-        ])
-    w, u = np.linalg.eigh(c)
-    trace = np.real(np.trace(c, axis1=-2, axis2=-1))
-    low = np.min(w, axis=-1)
-    bad = low < -1e-10 * np.maximum(trace, 0.0)
-    if np.any(bad):
-        raise InvalidCovarianceError(
-            f"covariance has eigenvalue {np.min(low[bad]):.3e} below -1e-10 * trace"
-        )
-    w = np.where(w < 1e-12 * trace[..., None], 0.0, w)
-    z = rng.standard_normal(mean.shape[:-1] + (2, m))
-    z = (z[..., 0, :] + 1j * z[..., 1, :]) / np.sqrt(2.0)
-    return mean + np.matmul(u, (np.sqrt(w) * z)[..., None])[..., 0]
+    for lo in range(0, len(out), step):
+        chunk = slice(lo, lo + step)
+        w, u = np.linalg.eigh(covs[chunk])
+        trace = np.real(np.trace(covs[chunk], axis1=-2, axis2=-1))
+        low = np.min(w, axis=-1)
+        bad = low < -1e-10 * np.maximum(trace, 0.0)
+        if np.any(bad):
+            raise InvalidCovarianceError(
+                f"covariance has eigenvalue {np.min(low[bad]):.3e} below -1e-10 * trace"
+            )
+        w = np.where(w < 1e-12 * trace[:, None], 0.0, w)
+        z = rng.standard_normal((len(w), 2, m))
+        z = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        out[chunk] = means[chunk] + np.matmul(u, (np.sqrt(w) * z)[..., None])[..., 0]
+    return out.reshape(mean.shape)

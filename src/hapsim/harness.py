@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import repeat
@@ -494,6 +493,9 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
     workers = min(workers, len(tasks), cpus or 1)
     if workers <= 1:
         return [fn(*t) for t in tasks]
+    # imported here: the pool module pulls in multiprocessing, socket and
+    # pickle (about 1.5 MB), which a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 

@@ -141,17 +141,19 @@ def build_interference_map(
         for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
             rows = np.arange(starts[g], starts[g + 1])
             h_conj = [channels[i].conj() for i in order[rows]]
+            pair_gains: dict[int, np.ndarray] = {}  # by other group, once per pair
             for pos, b in enumerate(plan.cluster_blocks[l]):
                 for rank, o in enumerate(holders[(s, b)]):
                     if o == g:
                         continue
                     cols = np.arange(starts[o], starts[o + 1])
-                    p = np.ascontiguousarray(precoders[cols].T)
-                    # one vector-matrix product per user, as a per-user
-                    # loop takes it; a stacked product can round differently
-                    gains = np.array([np.abs(h @ p) ** 2 for h in h_conj])
+                    if o not in pair_gains:
+                        p = np.ascontiguousarray(precoders[cols].T)
+                        # one vector-matrix product per user, as a per-user
+                        # loop takes it; a stacked product can round differently
+                        pair_gains[o] = np.array([np.abs(h @ p) ** 2 for h in h_conj])
                     parts.setdefault((rank, len(cols)), []).append(
-                        (rows * width + 1 + pos, np.tile(cols, (len(rows), 1)), gains)
+                        (rows * width + 1 + pos, np.tile(cols, (len(rows), 1)), pair_gains[o])
                     )
     return InterferenceMap(
         order=order,

@@ -126,6 +126,27 @@ def test_traced_disk_drops_place_once_per_trial(perfbench, tmp_path, capsys):
     assert stats["dofgrid.cell_center"].calls == 0
 
 
+def test_traced_layouts_draw_covariances_once_each(perfbench, tmp_path, capsys):
+    # --trace 1 predicts one covariance call per prepared trial; disk drops
+    # at 10 MHz draw the same channels for r = 1, 2 and 3, and a draw shared
+    # across those layouts would break that prediction here first
+    config = tmp_path / "layouts.cfg"
+    config.write_text(
+        "bandwidth = 10e6\nusers_per_trial = 150\nquadrature_points = 4\ntrials = 1\n"
+    )
+    tracer = perfbench.Tracer()
+    tracer.install()
+    try:
+        run_commands(tmp_path, config,
+                     {"sweep_power": ["sweep-power", "--powers-dbm", "40"]})
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    stats = tracer.stats
+    assert stats["harness.prepare_trial"].calls == 3  # one trial, r = 1, 2, 3
+    assert stats["channel.correlation_matrices"].calls == 3
+
+
 @pytest.mark.parametrize("workload", ["ordering-sweep", "run-q32", "disk-drop"])
 def test_reference_means_hold(perfbench, workload, tmp_path):
     # the benchmark's seed-42 pass against perfbench/reference.json: a

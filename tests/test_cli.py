@@ -1,7 +1,11 @@
 """Command line front end: list options, the printed summaries and the
 --workers pool size."""
 
+import concurrent.futures
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -162,7 +166,7 @@ class RecordingPool:
 def pool_sizes(monkeypatch, tmp_path, capsys, trials, workers):
     """max_workers of every pool a run at --workers asks for; its bytes
     must be those of --workers 1."""
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     outputs = []
     for n in (workers, 1):
@@ -192,3 +196,20 @@ def test_workers_clamped_to_cpu_count_without_affinity(monkeypatch, tmp_path, ca
     monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     assert pool_sizes(monkeypatch, tmp_path, capsys, 5, 64) == [3]
+
+
+def test_serial_run_loads_no_pool(tmp_path):
+    # the process pool module (with multiprocessing, socket and pickle) is
+    # imported only where a pool starts, so a serial run never holds it
+    argv = ["run", "--workers", "1", "--config", str(TINY), "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from hapsim import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "run.csv").exists()

@@ -97,6 +97,18 @@ class TestPlacement:
         b, _, _ = place_and_cluster(cfg, cfg.seed, 1)
         assert placement_rows(a) == placement_rows(b)
 
+    @pytest.mark.parametrize("seed, trial", [(42, 0), (7, 3)])
+    def test_disk_layouts_draw_one_scene(self, seed, trial):
+        # locate's inside mask reads only the section grid, so disk drops
+        # keep the same users, and so draw the same channels, whatever r
+        # sets L to
+        cfg = fast_cfg(bandwidth=10e6, users_per_trial=150, trials=1)
+        states = [prepare_trial(replace(cfg, r=r), seed, trial) for r in (1, 2, 3)]
+        assert len({s.served.subsection.max() for s in states}) > 1  # the grids differ
+        for state in states[1:]:
+            assert np.array_equal(state.served.user_id, states[0].served.user_id)
+            assert state.channels.tobytes() == states[0].channels.tobytes()
+
 
 # -- per-user placement loops, the references for the array placement ---------
 #
