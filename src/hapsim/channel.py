@@ -7,8 +7,10 @@ A user's channel to its serving UPA is Rician-style:
 
 The second-order NLoS statistics come from integrating the array response
 over a small angular box (azimuth spread x elevation spread) around the
-user direction. Large-scale gains beta_los / beta_nlos follow free-space
-path loss with independent lognormal shadowing and an extra NLoS penalty.
+user direction, kept per user as a lag table and expanded to M x M one
+eigh chunk at a time as channels are drawn. Large-scale gains beta_los /
+beta_nlos follow free-space path loss with independent lognormal
+shadowing and an extra NLoS penalty.
 """
 
 from __future__ import annotations
@@ -114,12 +116,32 @@ def _axis_nodes(centers: np.ndarray, half_width: float, n: int):
     return centers[:, None] + half_width * t, w / 2.0
 
 
-# complex entries of the largest array built per chunk of users (the
-# (phi, theta) node grid, a lag factor or the lag table in
-# correlation_matrices): 64 KiB buffers, under the C allocator's default
-# mmap threshold, so every chunk reuses the previous chunk's heap memory
-# (chunks of 2^14-2^16 entries raised the peak RSS of a sweep by 2-5 MB)
+# complex entries of the largest array built per chunk of users (the node
+# grid or a lag factor in correlation_matrices, the covariances gathered
+# for one eigh call in sample_channel): 64 KiB buffers, under the C
+# allocator's mmap threshold, so each chunk reuses the last one's heap
+# memory (chunks of 2^14-2^16 entries raised a sweep's peak RSS by 2-5 MB)
 _CHUNK_ENTRIES = 1 << 12
+
+
+@dataclass(frozen=True)
+class LagCovariances:
+    """Covariances kept as lag tables, matrix u = table[u][lag]. Indexes like
+    the (N, M, M) stack it encodes: cov[i] and cov[lo:hi] gather those
+    users' matrices, and np.asarray(cov) gathers them all."""
+
+    table: np.ndarray  # (N, (2*m_x - 1)(2*m_y - 1)), scaled by beta
+    lag: np.ndarray  # (M, M): flat table position of entry (a, b)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.table),) + self.lag.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.take(self.table[key], self.lag, axis=-1)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
 
 
 def _unit_phasors(phase: np.ndarray) -> np.ndarray:
@@ -167,9 +189,9 @@ def correlation_matrices(
     beta_nlos: np.ndarray,
     cfg: ArrayConfig,
     quadrature_points: int = 32,
-) -> np.ndarray:
+) -> LagCovariances:
     """Batched one-ring covariance matrices, shape (len(azimuth), M, M),
-    one per user direction (azimuth[u], elevation[u]).
+    one per user direction (azimuth[u], elevation[u]), kept as lag tables.
 
     Entry (a, b) of matrix u is
 
@@ -179,8 +201,8 @@ def correlation_matrices(
     with k the array wave vector, evaluated by a Gauss-Legendre product rule
     of quadrature_points nodes per axis. On a UPA the integrand depends only
     on the lag (di, dj) = (i_a - i_b, j_a - j_b), so the rule is applied to
-    the (2*m_x - 1)(2*m_y - 1) distinct lags and the block-Toeplitz matrix
-    is gathered from them, C[a, b] = beta * L(i_a - i_b, j_a - j_b) with
+    the (2*m_x - 1)(2*m_y - 1) distinct lags; indexing the returned tables
+    gathers the block-Toeplitz matrix C[a, b] = beta * L(i_a - i_b, j_a - j_b),
 
         L(di, dj) = sum_th w_th y(th)^dj az(di, th),
         az(di, th) = sum_phi w_phi z(phi, th)^di,
@@ -199,9 +221,8 @@ def correlation_matrices(
     """
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be >= 1")
-    azimuth = np.asarray(azimuth, dtype=float)
-    elevation = np.asarray(elevation, dtype=float)
-    beta_nlos = np.asarray(beta_nlos, dtype=float)
+    azimuth, elevation, beta_nlos = (
+        np.asarray(x, dtype=float) for x in (azimuth, elevation, beta_nlos))
     if elevation.shape != azimuth.shape or beta_nlos.shape != azimuth.shape:
         raise ValueError("need one elevation and one beta_nlos per azimuth")
     if np.any(beta_nlos < 0):
@@ -212,7 +233,8 @@ def correlation_matrices(
     i_idx, j_idx = element_indices(cfg)
     # flat position of lag (i_a - i_b, j_a - j_b) in a (2*m_x - 1, n_dj) table
     lag = (i_idx[:, None] - i_idx + m_x - 1) * n_dj + (j_idx[:, None] - j_idx + m_y - 1)
-    mats = np.empty((len(azimuth), cfg.m_total, cfg.m_total), dtype=complex)
+    # per-user lag tables (di + m_x - 1, dj + m_y - 1), flattened, scaled by beta
+    tables = np.empty((len(azimuth), (2 * m_x - 1) * n_dj), dtype=complex)
     n_phi = 1 if spread.delta_phi == 0.0 else quadrature_points
     n_th = 1 if spread.delta_theta == 0.0 else quadrature_points
     per_user = max(max(n_phi, m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
@@ -239,14 +261,12 @@ def correlation_matrices(
             np.multiply(el[..., m_y + dj - 2], el[..., m_y], out=el[..., m_y + dj - 1])
         el[..., : m_y - 1] = el[..., : m_y - 1 : -1].conj()
         el *= w_th[:, None]
-        # lag table (u, di + m_x - 1, dj + m_y - 1), scaled by beta
-        table = np.empty((len(phis), 2 * m_x - 1, n_dj), dtype=complex)
+        table = tables[lo:hi].reshape(-1, 2 * m_x - 1, n_dj)
         np.matmul(az, el, out=table[:, m_x - 1:])
         table[:, m_x - 1, : m_y - 1] = table[:, m_x - 1, : m_y - 1 : -1].conj()
         table[:, : m_x - 1] = table[:, : m_x - 1 : -1, ::-1].conj()
         table *= beta_nlos[lo:hi, None, None]
-        np.take(table.reshape(len(table), -1), lag, axis=1, out=mats[lo:hi], mode="clip")
-    return mats
+    return LagCovariances(tables, lag)
 
 
 def path_loss_db(distance_3d, carrier_freq: float):
@@ -289,30 +309,30 @@ def large_scale_fading(
 
 
 def sample_channel(
-    mean: np.ndarray, covariance: np.ndarray, rng: np.random.Generator
+    mean: np.ndarray, covariance: np.ndarray | LagCovariances, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw h = mean + C^(1/2) z with z circularly-symmetric standard Gaussian.
 
     One user's moments, shapes (M,) and (M, M), draw one channel; stacked
-    moments, shapes (N, M) and (N, M, M), draw N channels in order, each
-    real parts before imaginary parts. Eigenvalues below 1e-12 * trace are
-    clamped to zero; an eigenvalue below -1e-10 * trace means the
-    covariance is not PSD and raises.
+    moments, shapes (N, M) and (N, M, M) (an array or LagCovariances),
+    draw N channels in order, each real parts before imaginary parts.
+    Eigenvalues below 1e-12 * trace are clamped to zero; an eigenvalue
+    below -1e-10 * trace means the covariance is not PSD and raises.
     """
-    c = np.asarray(covariance)
     mean = np.asarray(mean)
     m = mean.shape[-1]
-    if c.shape != mean.shape + (m,):
+    if covariance.shape != mean.shape + (m,):
         raise ValueError("covariance shape does not match mean")
-    # one user is a stack of one; each eigh call takes at most
-    # _CHUNK_ENTRIES complex entries, for the memory reason of correlation_matrices
-    means, covs = mean.reshape(-1, m), c.reshape(-1, m, m)
+    # one user is a stack of one; each eigh call takes at most _CHUNK_ENTRIES
+    # complex entries, sliced (gathered, for lag tables) just before it runs
+    means, covs = mean.reshape(-1, m), (covariance[None] if mean.ndim == 1 else covariance)
     out = np.empty(means.shape, dtype=complex)
     step = max(1, _CHUNK_ENTRIES // (m * m))
     for lo in range(0, len(out), step):
         chunk = slice(lo, lo + step)
-        w, u = np.linalg.eigh(covs[chunk])
-        trace = np.real(np.trace(covs[chunk], axis1=-2, axis2=-1))
+        c = covs[chunk]
+        w, u = np.linalg.eigh(c)
+        trace = np.real(np.trace(c, axis1=-2, axis2=-1))
         low = np.min(w, axis=-1)
         bad = low < -1e-10 * np.maximum(trace, 0.0)
         if np.any(bad):

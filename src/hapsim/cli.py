@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import harness
+from .channel import converged_nodes
 from .config import ConfigError, ScenarioConfig, load_config
 
 DEFAULT_POWERS_DBM = tuple(float(p) for p in range(30, 51, 2))
@@ -79,12 +80,8 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    return replace(cfg, **overrides)
+    overrides = {k: getattr(args, k) for k in ("seed", "trials")}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _parse_list(text: str, convert: Callable[[str], object], option: str) -> tuple:
@@ -159,17 +156,13 @@ def main(argv: list[str] | None = None) -> int:
             harness.run(cfg, out_dir=out, workers=args.workers)
             name = "run"
         elif args.command == "sweep-power":
-            if args.powers_dbm is not None:
-                powers = _parse_powers(args.powers_dbm)
-            else:
-                powers = DEFAULT_POWERS_DBM
+            powers = (DEFAULT_POWERS_DBM if args.powers_dbm is None
+                      else _parse_powers(args.powers_dbm))
             rows = harness.sweep_power(cfg, powers, out_dir=out, workers=args.workers)
             name = "sweep_power"
             summary = _power_ranking(cfg, rows)
         elif args.command == "sweep-rb":
-            r_values = None
-            if args.r is not None:
-                r_values = _parse_list(args.r, int, "--r")
+            r_values = None if args.r is None else _parse_list(args.r, int, "--r")
             rows = harness.sweep_rb(cfg, r_values, out_dir=out, workers=args.workers)
             name = "sweep_rb"
             summary = _rate_deciles(cfg, rows)
@@ -181,6 +174,11 @@ def main(argv: list[str] | None = None) -> int:
         # harness.sweep_rb validates each --r config before any trial runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # every command but heatmap draws channels through the capped quadrature
+    needed = converged_nodes(cfg.scattering_spread(), cfg.array_config(), math.inf)
+    if args.command != "heatmap" and needed > cfg.quadrature_points:
+        print(f"warning: quadrature_points = {cfg.quadrature_points} is below the {needed} "
+              "nodes per axis at which the covariance converges", file=sys.stderr)
     print(f"wrote {out / (name + '.csv')}")
     print(f"wrote {out / 'meta.txt'}")
     for line in summary:

@@ -249,8 +249,8 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     fading = large_scale_fading(
         served.distance, cfg.carrier_freq, cfg.fading_model(), rng
     )
-    # the covariances live only for this call, which keeps them out of the
-    # peak memory of the per-trial structures built below
+    # the covariances stay lag tables, expanded one eigh chunk at a time
+    # inside the draw, and live only for this call
     channels = sample_channel(
         los_channel(fading, angles, acfg),
         correlation_matrices(

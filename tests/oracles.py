@@ -3,8 +3,10 @@
 Each restates a quantity the program computes another way: element
 positions and wave vectors derive the steering phases from first
 principles, correlation_matrix is the single-user covariance,
-orthogonality_defect is one pairwise steering correlation, and the
-per-user grouping and interference map restate the array trial state.
+node_responses and reference_correlation_matrices write the one-ring
+quadrature out in the element domain, orthogonality_defect is one
+pairwise steering correlation, and the per-user grouping and
+interference map restate the array trial state.
 """
 
 from dataclasses import dataclass
@@ -13,9 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from hapsim.allocation import assign_resource_blocks, cluster_users
-from hapsim.channel import composite_steering, correlation_matrices
+from hapsim.channel import _axis_nodes, composite_steering, correlation_matrices
 from hapsim.dofgrid import GridCell, steering_correlation
-from hapsim.geometry import AngularCoordinates, ArrayConfig
+from hapsim.geometry import AngularCoordinates, ArrayConfig, element_indices
 from hapsim.rate import build_cluster_precoders, build_interference_map
 
 
@@ -62,6 +64,42 @@ def correlation_matrix(angles, spread, beta_nlos, cfg, quadrature_points=32):
         cfg,
         quadrature_points,
     )[0]
+
+
+def node_responses(azimuth, elevation, spread, cfg, quadrature_points):
+    """Un-normalized array responses at every (phi, theta) node of each
+    user's one-ring box, shape (N, M, nodes), and the nodes' product
+    weights, which sum to 1.
+
+    Element j*m_x + i of the response at node (phi, th) is
+    exp(-2j*pi*(i*d_h*sin(th)*cos(phi) + j*d_v*cos(th))).
+    """
+    i_idx, j_idx = element_indices(cfg)
+    phis, w_phi = _axis_nodes(np.asarray(azimuth, dtype=float), spread.delta_phi,
+                              quadrature_points)
+    thes, w_th = _axis_nodes(np.asarray(elevation, dtype=float), spread.delta_theta,
+                             quadrature_points)
+    # node (a, b) is (phis[:, a], thes[:, b]), flattened phi-major
+    shape = (len(phis), phis.shape[1], thes.shape[1])
+    mu_phi = (np.sin(thes)[:, None, :] * np.cos(phis)[:, :, None]).reshape(len(phis), -1)
+    mu_h = np.broadcast_to(np.cos(thes)[:, None, :], shape).reshape(len(phis), -1)
+    phase = (cfg.d_h * (i_idx[:, None] * mu_phi[:, None, :])
+             + cfg.d_v * (j_idx[:, None] * mu_h[:, None, :]))
+    return np.exp(-2j * np.pi * phase), np.outer(w_phi, w_th).ravel()
+
+
+def reference_correlation_matrices(angles, spread, beta_nlos, cfg, quadrature_points):
+    """Element-domain one-ring covariances, beta * V diag(w) V^H per user.
+
+    V holds the un-normalized array response at every (phi, theta) node, so
+    this is the quadrature of the integral in correlation_matrices written
+    out over all M^2 entries, without the lag structure.
+    """
+    mats = []
+    for a, beta in zip(angles, beta_nlos):
+        v, w = node_responses([a.azimuth], [a.elevation], spread, cfg, quadrature_points)
+        mats.append(beta * (v[0] * w) @ v[0].conj().T)
+    return np.array(mats)
 
 
 def orthogonality_defect(

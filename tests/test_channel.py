@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,12 +10,10 @@ from hapsim.geometry import (
     ArrayConfig,
     AngularCoordinates,
     UserPosition,
-    element_indices,
     user_angles,
 )
 from hapsim import channel
 from hapsim.channel import (
-    _axis_nodes,
     FadingModel,
     InvalidCovarianceError,
     LargeScaleFading,
@@ -28,7 +27,9 @@ from hapsim.channel import (
     steering,
 )
 
-from oracles import array_wave_vector, correlation_matrix, element_position
+from oracles import (
+    array_wave_vector, correlation_matrix, element_position, reference_correlation_matrices,
+)
 
 SETTINGS = {"max_examples": 60, "deadline": None}
 
@@ -151,28 +152,6 @@ class TestCorrelationMatrix:
         assert np.abs(c1 - c2).max() < 1e-6 * scale
 
 
-def reference_correlation_matrices(angles, spread, beta_nlos, cfg, quadrature_points):
-    """Element-domain one-ring covariances, beta * V diag(w) V^H per user.
-
-    V holds the un-normalized array response at every (phi, theta) node, so
-    this is the quadrature of the integral in correlation_matrices written
-    out over all M^2 entries, without the lag structure.
-    """
-    i_idx, j_idx = element_indices(cfg)
-    mats = []
-    for a, beta in zip(angles, beta_nlos):
-        phis, w_phi = _axis_nodes(np.array([a.azimuth]), spread.delta_phi, quadrature_points)
-        thes, w_th = _axis_nodes(np.array([a.elevation]), spread.delta_theta, quadrature_points)
-        phi, th = np.meshgrid(phis[0], thes[0], indexing="ij")
-        mu_phi = (np.sin(th) * np.cos(phi)).ravel()
-        mu_h = np.cos(th).ravel()
-        phase = cfg.d_h * np.outer(i_idx, mu_phi) + cfg.d_v * np.outer(j_idx, mu_h)
-        v = np.exp(-2j * np.pi * phase)
-        w = np.outer(w_phi, w_th).ravel()
-        mats.append(beta * (v * w) @ v.conj().T)
-    return np.array(mats)
-
-
 def random_users(n, seed):
     rng = np.random.default_rng(seed)
     angles = [
@@ -204,7 +183,7 @@ class TestLagDomainMatchesOracle:
 
     @staticmethod
     def check(angles, spread, beta, cfg, q):
-        c = correlation_matrices(*directions(angles), spread, beta, cfg, q)
+        c = np.asarray(correlation_matrices(*directions(angles), spread, beta, cfg, q))
         ref = reference_correlation_matrices(angles, spread, beta, cfg, q)
         assert np.max(np.abs(c - ref) / beta[:, None, None]) <= 1e-13
         assert np.array_equal(c, c.conj().transpose(0, 2, 1))
@@ -295,7 +274,7 @@ class TestConvergedNodes:
             spread = ScatteringSpread(*np.radians(spread_deg))
             angles, beta = random_users(1, seed=k)
             q = channel.converged_nodes(spread, cfg, 96)
-            c = correlation_matrices(*directions(angles), spread, beta, cfg, q)
+            c = np.asarray(correlation_matrices(*directions(angles), spread, beta, cfg, q))
             ref = reference_correlation_matrices(angles, spread, beta, cfg, 96)
             worst = max(worst, np.max(np.abs(c - ref)) / beta[0])
         assert worst <= 1e-13
@@ -396,10 +375,53 @@ class TestBatchedMatchesLoop:
         batch = correlation_matrices(*directions(self.angles), spread, beta, self.cfg, q)
         loop = [correlation_matrix(a, spread, b, self.cfg, q)
                 for a, b in zip(self.angles, beta)]
-        assert np.array_equal(batch, loop)
+        assert np.array_equal(np.asarray(batch), loop)
         mean = np.full((len(self.angles), self.cfg.m_total), 0.5 - 0.25j)
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         drawn = sample_channel(mean, batch, rng_a)
         looped = [sample_channel(m, c, rng_b) for m, c in zip(mean, batch)]
         assert np.array_equal(drawn, looped)
+        assert rng_a.random() == rng_b.random()
+
+
+class TestLagCovariances:
+    """correlation_matrices keeps the covariances as lag tables, which index
+    like the dense (N, M, M) stack they encode, and sample_channel draws
+    from them as from that stack."""
+
+    # sha256 of the dense stack of covariances(300), as correlation_matrices
+    # returned it before it kept lag tables; a platform's BLAS sets these
+    # bits, as it sets the goldens'
+    DENSE_SHA256 = "f7fd74a98ad85f8b699cb42dfe14f08e6af82cd717422e90118cf5d498971695"
+
+    @staticmethod
+    def covariances(n):
+        angles, beta = random_users(n, seed=n)
+        spread = ScatteringSpread(np.radians(2.0), np.radians(3.0))
+        return correlation_matrices(*directions(angles), spread, beta, ArrayConfig(m_y=8), 8)
+
+    def test_dense_bytes(self):
+        dense = np.asarray(self.covariances(300))
+        assert dense.shape == (300, 32, 32) and dense.dtype == complex
+        assert hashlib.sha256(dense.tobytes()).hexdigest() == self.DENSE_SHA256
+
+    def test_indexing(self):
+        cov = self.covariances(40)
+        dense = np.asarray(cov)
+        assert cov.shape == dense.shape
+        for i in (0, 17, 39, -1):
+            assert np.array_equal(cov[i], dense[i])
+        for lo, hi in ((0, 16), (16, 40), (33, 100), (5, 5)):
+            assert np.array_equal(cov[lo:hi], dense[lo:hi])
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_few_users(self, n):
+        cov = self.covariances(n)
+        assert cov.shape == np.asarray(cov).shape == (n, 32, 32)
+        mean = np.full((n, 32), 0.5 - 0.25j)
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = sample_channel(mean, cov, rng_a)
+        looped = [sample_channel(m, c, rng_b) for m, c in zip(mean, np.asarray(cov))]
+        assert drawn.shape == (n, 32)
+        assert np.array_equal(drawn, np.reshape(looped, (n, 32)))
         assert rng_a.random() == rng_b.random()

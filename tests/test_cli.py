@@ -98,6 +98,49 @@ class TestQuadratureCap:
         assert self.run(text, tmp_path / "wide", capsys)
 
 
+class TestQuadratureWarning:
+    """A command that draws channels with quadrature_points below the
+    converged node count says so in one stderr line; its CSV and meta.txt
+    keep their golden bytes. tiny.cfg's 4x8 array at 2 deg converges at 8
+    nodes and caps them at 4."""
+
+    WARNING = ("warning: quadrature_points = 4 is below the 8 nodes per axis "
+               "at which the covariance converges")
+
+    @pytest.mark.parametrize("name, argv", [
+        ("run", ["run"]),
+        ("sweep_power", ["sweep-power", "--powers-dbm", "40,46"]),
+        ("sweep_rb", ["sweep-rb", "--r", "2,3,1"]),
+    ])
+    def test_capped_run_warns(self, name, argv, tmp_path, capsys):
+        out = tmp_path / name
+        assert cli.main(argv + ["--config", str(TINY), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [self.WARNING]
+        for f in (f"{name}.csv", "meta.txt"):
+            assert (out / f).read_bytes() == (TINY.parent / name / f).read_bytes()
+
+    @pytest.mark.parametrize("config, command", [(Q32, "run"), (TINY, "heatmap")])
+    def test_silent(self, config, command, tmp_path, capsys):
+        # q32.cfg runs its converged 8 nodes; heatmap draws no channel
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_no_users_drawn(tmp_path, capsys):
+    # a disk drop of zero users draws an empty covariance stack and writes
+    # the header alone, as before covariances were kept as lag tables
+    config = tmp_path / "zero.cfg"
+    config.write_text(TINY.read_text() + "users_per_trial = 0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "run.csv").read_text() == (
+        "trial,user,sector,section,subsection,time_share,omega,sinr,"
+        "spectral_efficiency_bits_hz,rate_bps,sum_rate_bps,qos_feasible,unserved_users\n")
+    assert (out / "meta.txt").read_text().endswith(
+        "users_per_trial = 0\ncommand = run\nfingerprint = a5dacf41076abfb4\n")
+
+
 def run_cli(argv, out, capsys):
     assert cli.main(argv + ["--config", str(TINY), "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()

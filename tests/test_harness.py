@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -292,6 +293,22 @@ class TestRunTrial:
         rec = run_trial(cfg, cfg.seed, 0)
         assert rec.sum_rate_bps == 0.0
         assert len(rec.users) == 0
+
+    def test_memory_holds_no_covariance_stack(self):
+        # 1200 users on a 4x4 array, whose dense (N, M, M) covariance stack
+        # alone takes 4.9 MB. The covariances stay lag tables (0.94 MB),
+        # expanded one eigh chunk at a time, so the trial's peak stays
+        # under one such stack.
+        cfg = ScenarioConfig(bandwidth=20e6, r=1, quadrature_points=2)
+        tracemalloc.start()
+        try:
+            state = prepare_trial(cfg, 42, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, m = state.channels.shape
+        assert n == 1200
+        assert peak < n * m * m * 16
 
     def test_single_user_closed_form(self):
         cfg = fast_cfg(users_per_trial=1, p_max=100.0)
