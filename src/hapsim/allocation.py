@@ -74,8 +74,7 @@ class PowerAllocation:
 
     @property
     def spent(self) -> float:
-        # left to right, as Python's sum adds; np.sum adds pairwise
-        return self.p_max * sum(self.omega.tolist())
+        return self.p_max * float(np.sum(self.omega))
 
 
 def cluster_users(
@@ -112,15 +111,17 @@ def assign_resource_blocks(
 ) -> ResourcePlan:
     """Blocks {(l-1)*r .. l*r - 1} mod nbr for cluster l.
 
-    Disjoint across clusters when L * r <= nbr; otherwise the modulo wraps
-    some blocks into a second cluster and the plan is flagged as reuse.
+    Disjoint across clusters when L * r <= nbr; otherwise the modulo can
+    wrap some blocks into a second cluster. The plan is flagged as reuse
+    when two of the given clusters hold a common block.
     """
     if nbr < 1:
         raise ValueError("nbr must be >= 1")
     if not 1 <= r <= nbr:
         raise ValueError(f"r={r} outside 1..nbr={nbr}")
     blocks = {l: tuple(((l - 1) * r + k) % nbr for k in range(r)) for l in cluster_ids}
-    reuse = max(cluster_ids, default=0) * r > nbr
+    held = [b for held_by_l in blocks.values() for b in held_by_l]
+    reuse = len(set(held)) < len(held)  # one cluster's r <= nbr blocks are distinct
     return ResourcePlan(rb_per_user=r, total_rb=nbr, cluster_blocks=blocks, reuse=reuse)
 
 

@@ -54,7 +54,6 @@ from .rate import (
     UserCell,
     build_cluster_precoders,
     build_interference_map,
-    effective_sinr,
     evaluate_objective,
 )
 
@@ -347,7 +346,7 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None,
                 repeat(rec.trial), rec.users.tolist(), rec.sector.tolist(),
                 rec.section.tolist(), rec.subsection.tolist(),
                 rec.time_share.tolist(), rec.omega.tolist(),
-                effective_sinr(rec.spectral_efficiency),
+                (np.exp2(rec.spectral_efficiency) - 1.0).tolist(),
                 rec.spectral_efficiency.tolist(), rec.rate_bps.tolist(),
                 repeat(rec.sum_rate_bps), repeat(rec.qos_feasible),
                 repeat(rec.unserved),

@@ -46,12 +46,6 @@ class RateReport:
     qos_margin_realized: float        # min over users, with interference
 
 
-def effective_sinr(spectral_efficiency: np.ndarray) -> list[float]:
-    """2^se - 1 per entry, through the C library pow as Python float
-    arithmetic does; numpy's vectorized power can differ in the last bit."""
-    return [2.0 ** v - 1.0 for v in spectral_efficiency.tolist()]
-
-
 def build_cluster_precoders(
     mu_phi: np.ndarray, mu_h: np.ndarray, order: np.ndarray, cfg: ArrayConfig
 ) -> np.ndarray:
@@ -72,19 +66,19 @@ class InterferenceMap:
     Users are held in evaluation order: (sector, cluster) groups in key
     order, members by user id; every array below is indexed that way.
 
-    terms says who interferes with whom on which block. Each bucket holds
-    (targets (m,), interferer rows (m, k), gains |h_u^H p_v|^2 (m, k)),
-    targets flat into an (n, r + 1) table: column 0 for every block (same
-    group, other cell), column 1 + pos for block position pos (the other
-    groups holding that block). Buckets are keyed by (rank, k) in sorted
-    order, rank the interfering group's place among the block's holders
-    (0 in column 0); no target repeats inside a bucket.
+    terms says who interferes with whom on which block, as three flat
+    arrays of one entry per (target, interferer) pair: target indexes an
+    (n, r + 1) table, flat, interferer is the interfering user's row and
+    gain is |h_u^H p_v|^2. Column 0 of a user's table row collects
+    interference on every block (other members of its group, outside its
+    cell); column 1 + pos collects interference on block position pos
+    (members of the other groups of its sector that hold that block).
     """
 
     order: np.ndarray        # (n,) each row's position in user-id order
     time_share: np.ndarray   # (n,)
     own_gain: np.ndarray     # (n,) |h_u^H p_u|^2
-    terms: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray]  # target, interferer, gain
 
 
 def build_interference_map(
@@ -103,15 +97,15 @@ def build_interference_map(
     build_cluster_precoders'. A user's same-cluster interferers are the
     other members of its group outside its own cell. Under reuse, each of
     its blocks also collects the groups of the same sector whose cluster
-    holds that block, in the order of their first members' user ids.
+    holds that block.
     """
     order, starts = groups.order, groups.starts
     sizes = np.diff(starts)
     width = plan.rb_per_user + 1  # columns of the terms' (n, r + 1) table
     own_gain = np.empty(len(order))
-    parts: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    # groups of one size at a time, sizes in order of first appearance:
-    # (groups, size, size) projections
+    # (target, interferer, gain) pieces; the empty first one types a trial with no terms
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    # groups of one size at a time: (groups, size, size) projections
     for size in dict.fromkeys(sizes.tolist()):
         rows = starts[np.flatnonzero(sizes == size)][:, None] + np.arange(size)
         members = order[rows]
@@ -121,48 +115,38 @@ def build_interference_map(
         own_gain[rows] = np.diagonal(proj, axis1=1, axis2=2)
         # same group, different cell: in one group that means another section
         sec = section[members]
-        mask = sec[:, :, None] != sec[:, None, :]
-        counts = mask.sum(axis=2)
-        # sorted(set()), not np.unique, which imports numpy.ma (about 2 MB)
-        for k in sorted(set(counts[counts > 0].tolist())):
-            g, a = np.nonzero(counts == k)
-            b = np.nonzero(mask[g, a])[1].reshape(-1, k)
-            parts.setdefault((0, k), []).append(
-                (rows[g, a] * width, rows[g[:, None], b], proj[g[:, None], a[:, None], b])
-            )
+        g, a, b = np.nonzero(sec[:, :, None] != sec[:, None, :])
+        parts.append((rows[g, a] * width, rows[g, b], proj[g, a, b]))
     if plan.reuse:
         first = order[starts[:-1]]  # each group's first member
         group_sector = sector[first].tolist()
         group_cluster = subsection[first].tolist()
         holders: dict[tuple[int, int], list[int]] = {}
-        for g in np.argsort(first).tolist():
-            for b in plan.cluster_blocks[group_cluster[g]]:
-                holders.setdefault((group_sector[g], b), []).append(g)
+        for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
+            for b in plan.cluster_blocks[l]:
+                holders.setdefault((s, b), []).append(g)
         for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
             rows = np.arange(starts[g], starts[g + 1])
-            h_conj = [channels[i].conj() for i in order[rows]]
             pair_gains: dict[int, np.ndarray] = {}  # by other group, once per pair
             for pos, b in enumerate(plan.cluster_blocks[l]):
-                for rank, o in enumerate(holders[(s, b)]):
+                for o in holders[(s, b)]:
                     if o == g:
                         continue
                     cols = np.arange(starts[o], starts[o + 1])
                     if o not in pair_gains:
-                        p = np.ascontiguousarray(precoders[cols].T)
-                        # one vector-matrix product per user, as a per-user
-                        # loop takes it; a stacked product can round differently
-                        pair_gains[o] = np.array([np.abs(h @ p) ** 2 for h in h_conj])
-                    parts.setdefault((rank, len(cols)), []).append(
-                        (rows * width + 1 + pos, np.tile(cols, (len(rows), 1)), pair_gains[o])
-                    )
+                        pair_gains[o] = np.abs(
+                            channels[order[rows]].conj() @ precoders[cols].T
+                        ) ** 2
+                    parts.append((
+                        np.repeat(rows * width + 1 + pos, len(cols)),
+                        np.tile(cols, len(rows)),
+                        pair_gains[o].ravel(),
+                    ))
     return InterferenceMap(
         order=order,
         time_share=groups.time_share[order],
         own_gain=own_gain,
-        terms=tuple(
-            tuple(np.concatenate(arrays) for arrays in zip(*parts[key]))
-            for key in sorted(parts)
-        ),
+        terms=tuple(map(np.concatenate, zip(*parts))),
     )
 
 
@@ -181,12 +165,11 @@ def evaluate_objective(
     users holds one record per user (only its length is read), and
     power.omega and allocator_gains are in user-id order. interference is
     build_interference_map's result for these users, built once per trial
-    and reused at every power point. One pass over its terms sums each
-    bucket's omega * time_share-weighted gains into the (n, r + 1) table;
-    block position pos of a user then sees column 0 plus column 1 + pos,
-    whatever rule shared the blocks. Users are scored, and the sum rate
-    added, in the map's evaluation order; the report's arrays are put
-    back in user-id order.
+    and reused at every power point. One bincount sums its terms' omega *
+    time_share-weighted gains into the (n, r + 1) table; block position
+    pos of a user then sees column 0 plus column 1 + pos, whatever rule
+    shared the blocks. A user's spectral efficiency is the mean of its
+    per-block log2(1 + sinr); the report's arrays are in user-id order.
     """
     im = interference
     n = len(im.order)
@@ -195,26 +178,17 @@ def evaluate_objective(
             f"interference map holds {n} users, trial has {len(users)}"
         )
     omega = power.omega[im.order]
-    omega_eff = omega * im.time_share
-    own = im.own_gain * omega
     # every cluster holds plan.rb_per_user blocks (assign_resource_blocks)
     blocks = plan.rb_per_user
-    # buckets in (rank, k) order add each block's interfering groups in
-    # holder order, as a scalar loop would; 0.0 + s == s
-    acc = np.zeros(n * (blocks + 1))
-    for target, inter, gains in im.terms:
-        acc[target] += np.sum(omega_eff[inter] * gains, axis=1)
-    acc = acc.reshape(n, blocks + 1)
-    # per-block log terms summed in block order, as a scalar loop would
-    se_sum = np.zeros(n)
-    for pos in range(blocks):
-        sinr_b = rho * own / (rho * (acc[:, 0] + acc[:, 1 + pos]) + 1.0)
-        se_sum = se_sum + np.log2(1.0 + sinr_b)
-    se = se_sum / blocks
+    target, interferer, term_gain = im.terms
+    acc = np.bincount(
+        target, weights=(omega * im.time_share)[interferer] * term_gain,
+        minlength=n * (blocks + 1),
+    ).reshape(n, blocks + 1)
+    sinr = rho * (im.own_gain * omega)[:, None] / (rho * (acc[:, :1] + acc[:, 1:]) + 1.0)
+    se = np.mean(np.log2(1.0 + sinr), axis=1)
     rate_arr = im.time_share * blocks * bw_rb * se
-
-    # in evaluation order, left to right, as Python's sum adds
-    sum_rate = float(sum(rate_arr.tolist()))
+    sum_rate = float(np.sum(rate_arr))
 
     if n:
         gain = allocator_gains[im.order]

@@ -187,8 +187,9 @@ def cluster_precoders_ref(users, cfg):
 def interference_map_ref(users, plan, precoders):
     """The interference map built group by group and user by user:
     user_ids, time_share, own_gain and terms, the last as
-    {target: [(rank, interferer rows, gains), ...]} in rank order, with
-    InterferenceMap's evaluation order and (n, r + 1) target table."""
+    {target: [(interferer rows, gains), ...]} with one entry per
+    interfering group, in InterferenceMap's evaluation order and (n, r + 1)
+    target table."""
     groups = group_members_ref(users)
     keys = sorted(groups)
     start = {}
@@ -209,7 +210,7 @@ def interference_map_ref(users, plan, precoders):
             others = [b for b, j in enumerate(members) if users[j].cell != users[i].cell]
             if others:
                 terms[(start[key] + a) * width] = [
-                    (0, [start[key] + b for b in others], proj[a, others])
+                    ([start[key] + b for b in others], proj[a, others])
                 ]
     if plan.reuse:
         block_groups = {}
@@ -220,11 +221,10 @@ def interference_map_ref(users, plan, precoders):
             for pos, b in enumerate(plan.cluster_blocks[key[1]]):
                 for a, i in enumerate(groups[key]):
                     h_conj = users[i].channel.conj()
-                    for rank, o in enumerate(block_groups[(key[0], b)]):
+                    for o in block_groups[(key[0], b)]:
                         if o == key:
                             continue
                         terms.setdefault((start[key] + a) * width + 1 + pos, []).append((
-                            rank,
                             list(range(start[o], start[o] + len(groups[o]))),
                             np.abs(h_conj @ precoders[o]) ** 2,
                         ))

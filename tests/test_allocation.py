@@ -125,6 +125,13 @@ class TestResourceBlocks:
         assert plan.cluster_blocks[34] == (99, 0, 1)
         assert plan.cluster_blocks[36] == (5, 6, 7)
 
+    @pytest.mark.parametrize("cluster_ids", [(34,), (4, 34)])
+    def test_wrap_without_a_shared_block_is_no_reuse(self, cluster_ids):
+        # cluster 34 wraps onto blocks 0 and 1, which no given cluster holds
+        plan = assign_resource_blocks(cluster_ids, 100, 3)
+        assert plan.cluster_blocks[34] == (99, 0, 1)
+        assert not plan.reuse
+
     def test_bad_r(self):
         with pytest.raises(ValueError):
             assign_resource_blocks([], 50, 0)

@@ -395,7 +395,7 @@ class TestRunCsv:
             )
             mine = [row for row in rows if row["trial"] == str(rec.trial)]
             se = rec.spectral_efficiency.tolist()
-            assert [float(row["sinr"]) for row in mine] == [2.0 ** v - 1.0 for v in se]
+            assert [float(row["sinr"]) for row in mine] == (np.exp2(se) - 1.0).tolist()
             for key, name, convert in [
                 ("user", "users", int), ("sector", "sector", int),
                 ("section", "section", int), ("subsection", "subsection", int),

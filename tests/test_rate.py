@@ -18,7 +18,6 @@ from hapsim.rate import (
     UserCell,
     build_cluster_precoders,
     build_interference_map,
-    effective_sinr,
     evaluate_objective,
 )
 
@@ -61,7 +60,7 @@ def by_user(report, ids):
     return SimpleNamespace(
         rates=dict(zip(ids, report.rates.tolist())),
         spectral_efficiency=dict(zip(ids, report.spectral_efficiency.tolist())),
-        sinr=dict(zip(ids, effective_sinr(report.spectral_efficiency))),
+        sinr=dict(zip(ids, (np.exp2(report.spectral_efficiency) - 1.0).tolist())),
         sum_rate=report.sum_rate,
         power_margin_w=report.power_margin_w,
         qos_margin_model=report.qos_margin_model,
@@ -317,9 +316,9 @@ class TestEvaluateObjective:
 def reference_objective(users, plan, omega, rho, bw_rb, cfg):
     """Per-user, per-block loop form of evaluate_objective's rates.
 
-    The loop the batched evaluation replaced; it performs the same
-    floating-point operations in the same order, so results must be equal
-    bit for bit, not merely close.
+    The loop the batched evaluation replaced. It sums interference, block
+    logs and the sum rate in its own order, so the batched results agree
+    with it to rounding (assert_close), not bit for bit.
     """
     groups = {}
     for u in users:
@@ -359,8 +358,23 @@ def reference_objective(users, plan, omega, rho, bw_rb, cfg):
     return rates, ses, float(sum(rates.values()))
 
 
+def assert_close(got, want):
+    """Equal to 1e-12 relative, entry by entry: a batched sum rounds
+    differently from a per-user loop's."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def assert_report_matches_loop(report, rates, ses, total):
+    """A by_user report against reference_objective's dicts and sum."""
+    assert report.rates.keys() == rates.keys() == ses.keys()
+    assert_close(list(report.rates.values()), [rates[u] for u in report.rates])
+    assert_close(list(report.spectral_efficiency.values()), [ses[u] for u in report.rates])
+    assert_close(report.sum_rate, total)
+
+
 class TestInterferenceMapMatchesLoop:
-    """The power-free precomputation must not move a bit of the rates."""
+    """The power-free precomputation holds the per-user loop's terms and
+    scores to its rates."""
 
     @pytest.mark.parametrize(
         "kw, reuse, shared",
@@ -369,11 +383,12 @@ class TestInterferenceMapMatchesLoop:
             (dict(bandwidth=20e6, r=3), True, False),
             # disk drops: crowded cells time-share, groups of many sizes
             (dict(bandwidth=10e6, r=2, users_per_trial=400), False, True),
-            # disk drops under reuse: 64 x 1 cluster-blocks onto 60 blocks
-            (dict(bandwidth=20e6, nbr=60, r=1, users_per_trial=300), True, True),
+            # disk drops under reuse: 64 x 1 cluster-blocks onto 60 blocks;
+            # m_y = 16, since on 4x4 no two present clusters share a block
+            (dict(bandwidth=20e6, m_y=16, nbr=60, r=1, users_per_trial=300), True, True),
         ],
     )
-    def test_bitwise_equal(self, kw, reuse, shared):
+    def test_rates_match_loop(self, kw, reuse, shared):
         from hapsim.config import ScenarioConfig
         from hapsim.harness import prepare_trial
 
@@ -382,6 +397,9 @@ class TestInterferenceMapMatchesLoop:
         users = trial_users(state)
         assert state.plan.reuse == reuse
         assert any(u.time_share < 1.0 for u in users) == shared
+        assert_map_equals_oracle(
+            state.served.user_id, state.interference, users, state.plan, cfg.array_config()
+        )
         rng = np.random.default_rng(4)
         omega = {u.user_id: float(w) for u, w in
                  zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
@@ -392,19 +410,16 @@ class TestInterferenceMapMatchesLoop:
             state.gain, state.interference,
         )
         report = by_user(report, state.served.user_id.tolist())
-        rates, ses, total = reference_objective(
+        assert_report_matches_loop(report, *reference_objective(
             users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
-        )
-        assert report.rates == rates
-        assert report.spectral_efficiency == ses
-        assert report.sum_rate == total
+        ))
 
 
 def assert_equals_oracles(user_id, time_share, plan, im, users, cfg):
     """An array trial (ids and time shares in user-id order, its plan and
     interference map) equals the dict-based grouping and the per-user map
     on the same users, taken in user-id order as prepare_trial held them,
-    exactly."""
+    as assert_map_equals_oracle checks it; returns the map's oracle."""
     users = sorted(users, key=lambda u: u.user_id)
     clusters = cluster_users_ref([(u.user_id, u.cell) for u in users])
     shares = {uid: ts for cl in clusters for uid, ts in cl.time_shares.items()}
@@ -414,40 +429,36 @@ def assert_equals_oracles(user_id, time_share, plan, im, users, cfg):
     assert time_share.tolist() == [shares[uid] for uid in user_id.tolist()]
     assert plan == plan_ref
     users = [replace(u, time_share=shares[u.user_id]) for u in users]
-    assert_map_equals_oracle(user_id, im, users, plan_ref, cfg)
+    return assert_map_equals_oracle(user_id, im, users, plan_ref, cfg)
 
 
 def assert_map_equals_oracle(user_id, im, users, plan, cfg):
     """The interference map of users (in user-id order, with their time
-    shares) under plan equals the per-target oracle exactly; every bucket
-    holds one (rank, k), in increasing (rank, k) order."""
+    shares) under plan equals the per-target oracle: order, time shares,
+    own gains, targets, interferer rows and term counts per target
+    exactly, and the terms' gains to 1e-12; returns the oracle."""
     ref = interference_map_ref(users, plan, cluster_precoders_ref(users, cfg))
     assert user_id[im.order].tolist() == list(ref.user_ids)
     assert im.time_share.tolist() == ref.time_share.tolist()
     assert np.array_equal(im.own_gain, ref.own_gain)
     got = expand_terms(im)
     assert got.keys() == ref.terms.keys()
-    bucket_keys = [set() for _ in im.terms]
     for target, want in ref.terms.items():
-        assert len(got[target]) == len(want)
-        for (bucket, rows, gains), (rank, rows_ref, gains_ref) in zip(got[target], want):
-            assert rows == rows_ref
-            assert np.array_equal(gains, gains_ref)
-            bucket_keys[bucket].add((rank, len(rows)))
-    assert all(len(keys) == 1 for keys in bucket_keys)
-    keys = [k for keys in bucket_keys for k in keys]
-    assert keys == sorted(set(keys))
+        rows = [row for rows, _gains in want for row in rows]
+        assert len(got[target]) == len(rows)
+        assert sorted(got[target]) == sorted(rows)
+        assert_close([got[target][row] for row in rows],
+                     np.concatenate([gains for _rows, gains in want]))
+    return ref
 
 
 def expand_terms(im):
-    """The map's terms as {target: [(bucket, interferer rows, gains), ...]},
-    buckets in the map's order; fails if a bucket repeats a target, which
-    evaluate_objective's acc[target] += would silently drop."""
+    """The map's terms as {target: {interferer row: gain}}; fails if a
+    target lists one interferer twice."""
     terms = {}
-    for bucket, (target, inter, gains) in enumerate(im.terms):
-        assert len(set(target.tolist())) == len(target)
-        for t, rows, g in zip(target.tolist(), inter.tolist(), gains):
-            terms.setdefault(t, []).append((bucket, rows, g))
+    for target, row, gain in zip(*(a.tolist() for a in im.terms)):
+        assert row not in terms.setdefault(target, {})
+        terms[target][row] = gain
     return terms
 
 
@@ -513,8 +524,8 @@ class TestArrayTrialMatchesOracles:
         ]
         u, groups, plan, im = array_trial(users, 4, 3, CFG)
         assert plan.reuse
-        assert max(len(terms) for terms in expand_terms(im).values()) == 3
-        assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
+        ref = assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
+        assert max(len(entries) for entries in ref.terms.values()) == 3
 
     def test_empty_users(self):
         u, groups, plan, im = array_trial([], 50, 1, CFG)
@@ -549,8 +560,8 @@ class TestScoringIgnoresBlockRule:
             build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, CFG),
         )
         users = [replace(v, time_share=ts) for v, ts in zip(users, groups.time_share.tolist())]
-        assert_map_equals_oracle(u.user_id, im, users, plan, CFG)
-        assert max(len(terms) for terms in expand_terms(im).values()) == 2
+        ref = assert_map_equals_oracle(u.user_id, im, users, plan, CFG)
+        assert max(len(entries) for entries in ref.terms.values()) == 2
 
         omega = {v.user_id: float(w) for v, w in
                  zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
@@ -558,8 +569,7 @@ class TestScoringIgnoresBlockRule:
             cells(u), plan, alloc(omega, 1.0, 1.0), QoSSpec(), 300.0, 180e3,
             np.ones(len(users)), im,
         )
-        report = by_user(report, u.user_id.tolist())
-        rates, ses, total = reference_objective(users, plan, omega, 300.0, 180e3, CFG)
-        assert report.rates == rates
-        assert report.spectral_efficiency == ses
-        assert report.sum_rate == total
+        assert_report_matches_loop(
+            by_user(report, u.user_id.tolist()),
+            *reference_objective(users, plan, omega, 300.0, 180e3, CFG),
+        )
