@@ -60,7 +60,6 @@ class ResourcePlan:
     """Block indices per cluster; blocks are 0-based within 0..nbr-1."""
 
     rb_per_user: int
-    total_rb: int
     cluster_blocks: Mapping[int, tuple[int, ...]]
     reuse: bool  # some block serves more than one cluster
 
@@ -122,7 +121,7 @@ def assign_resource_blocks(
     blocks = {l: tuple(((l - 1) * r + k) % nbr for k in range(r)) for l in cluster_ids}
     held = [b for held_by_l in blocks.values() for b in held_by_l]
     reuse = len(set(held)) < len(held)  # one cluster's r <= nbr blocks are distinct
-    return ResourcePlan(rb_per_user=r, total_rb=nbr, cluster_blocks=blocks, reuse=reuse)
+    return ResourcePlan(rb_per_user=r, cluster_blocks=blocks, reuse=reuse)
 
 
 def _floor_coefficients(gains: np.ndarray, rho: float, qos: QoSSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT, AngularCoordinates, ArrayConfig, element_indices
+from .geometry import SPEED_OF_LIGHT, ArrayConfig, element_indices
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,6 @@ class LargeScaleFading:
     def __post_init__(self):
         if np.any(np.asarray(self.beta_los) < 0) or np.any(np.asarray(self.beta_nlos) < 0):
             raise ValueError("power gains must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Shadowing deviations (dB) and the extra NLoS attenuation (dB)."""
-
-    sigma_sf_los: float = 4.0
-    sigma_sf_nlos: float = 6.0
-    nlos_penalty_db: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -87,15 +78,13 @@ def composite_steering(mu_phi, mu_h, cfg: ArrayConfig) -> np.ndarray:
     return outer.reshape(outer.shape[:-2] + (cfg.m_total,))
 
 
-def los_channel(
-    fading: LargeScaleFading, angles: AngularCoordinates, cfg: ArrayConfig
-) -> np.ndarray:
-    """Deterministic LoS component sqrt(beta_los) * v(mu_phi, mu_h); norm sqrt(beta_los).
+def los_channel(fading: LargeScaleFading, steering_rows: np.ndarray) -> np.ndarray:
+    """Deterministic LoS component sqrt(beta_los) * v; norm sqrt(beta_los).
 
-    Array-valued fading gains and mu coordinates give one row per link.
+    v is the link's composite_steering vector; array-valued fading gains
+    with one row of steering_rows each give one row per link.
     """
-    v = composite_steering(angles.mu_phi, angles.mu_h, cfg)
-    return np.sqrt(fading.beta_los)[..., None] * v
+    return np.sqrt(fading.beta_los)[..., None] * steering_rows
 
 
 @lru_cache(maxsize=16)
@@ -287,7 +276,8 @@ def _exp10(x):
 def large_scale_fading(
     distance_3d,
     carrier_freq: float,
-    model: FadingModel,
+    sigma_sf: tuple[float, float],
+    nlos_penalty_db: float,
     rng: np.random.Generator,
 ) -> LargeScaleFading:
     """Draw shadowed LoS/NLoS gains for one link, or one per entry of an
@@ -296,15 +286,15 @@ def large_scale_fading(
     beta_los  = 10^-((PL + X_los) / 10),          X_los  ~ N(0, sigma_los^2) dB
     beta_nlos = 10^-((PL + penalty + X_nlos)/10), X_nlos ~ N(0, sigma_nlos^2) dB
 
+    with sigma_sf = (sigma_los, sigma_nlos) and penalty = nlos_penalty_db.
+
     Each link draws X_los then X_nlos, links in order.
     """
     pl = path_loss_db(distance_3d, carrier_freq)
-    x = rng.normal(
-        0.0, (model.sigma_sf_los, model.sigma_sf_nlos), size=np.shape(pl) + (2,)
-    )
+    x = rng.normal(0.0, sigma_sf, size=np.shape(pl) + (2,))
     return LargeScaleFading(
         beta_los=_exp10(-(pl + x[..., 0]) / 10.0),
-        beta_nlos=_exp10(-(pl + model.nlos_penalty_db + x[..., 1]) / 10.0),
+        beta_nlos=_exp10(-(pl + nlos_penalty_db + x[..., 1]) / 10.0),
     )
 
 

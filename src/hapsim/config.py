@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .allocation import QoSSpec
-from .channel import FadingModel, ScatteringSpread
+from .channel import ScatteringSpread
 from .dofgrid import (
     SectionGrid,
     SubsectionGrid,
@@ -76,13 +76,6 @@ class ScenarioConfig:
             d_v=self.d_v,
             n_sectors=self.n_sectors,
             carrier_freq=self.carrier_freq,
-        )
-
-    def fading_model(self) -> FadingModel:
-        return FadingModel(
-            sigma_sf_los=self.sigma_sf[0],
-            sigma_sf_nlos=self.sigma_sf[1],
-            nlos_penalty_db=self.nlos_penalty_db,
         )
 
     def scattering_spread(self) -> ScatteringSpread:

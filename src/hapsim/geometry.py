@@ -62,23 +62,6 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class UserPosition:
-    """Ground-plane positions (arrays), platform directly above the disk center."""
-
-    ground_x: np.ndarray
-    ground_y: np.ndarray
-    haps_altitude: float
-
-    @property
-    def ground_distance(self) -> np.ndarray:
-        return np.hypot(self.ground_x, self.ground_y)
-
-    @property
-    def distance_3d(self) -> np.ndarray:
-        return np.hypot(self.ground_distance, self.haps_altitude)
-
-
-@dataclass(frozen=True)
 class AngularCoordinates:
     """Boresight-relative direction plus mu coordinates: of one user, or
     equal-shape arrays for many."""
@@ -95,15 +78,16 @@ def element_indices(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     return m % cfg.m_x, m // cfg.m_x
 
 
-def user_angles(users: UserPosition, boresight_azimuth) -> AngularCoordinates:
-    """Boresight-relative angles and mu coordinates of users (arrays)."""
-    r = users.ground_distance
-    h = users.haps_altitude
+def user_angles(x, y, h: float, boresight_azimuth) -> AngularCoordinates:
+    """Boresight-relative angles and mu coordinates of users at ground
+    coordinates (x, y) (arrays), the platform at altitude h above the
+    disk center."""
+    r = np.hypot(x, y)
     d = np.hypot(r, h)
     if np.any(d == 0.0):
         raise ValueError("user coincides with the platform")
     elevation = np.arctan2(h, r)  # r=0 (nadir) -> pi/2
-    global_az = np.arctan2(users.ground_y, users.ground_x) % (2.0 * np.pi)
+    global_az = np.arctan2(y, x) % (2.0 * np.pi)
     phi = (global_az - boresight_azimuth + np.pi) % (2.0 * np.pi) - np.pi
     # sin(theta) = h/d and cos(theta) = r/d, exact for theta = arctan(h/r)
     mu_phi = (h / d) * np.cos(phi)
@@ -128,20 +112,14 @@ def sector_boresight(sector, n_sectors: int) -> np.ndarray:
 
 
 def drop_users(
-    count: int,
-    coverage_radius: float,
-    haps_altitude: float,
-    rng: np.random.Generator,
-) -> UserPosition:
-    """i.i.d. uniform user positions over the coverage disk."""
+    count: int, coverage_radius: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ground coordinates (x, y) of i.i.d. uniform users over the coverage
+    disk, centered below the platform."""
     if count < 0:
         raise ValueError("count must be >= 0")
     if coverage_radius < 0:
         raise ValueError("coverage_radius must be >= 0")
     radii = coverage_radius * np.sqrt(rng.random(count))
     azimuths = 2.0 * np.pi * rng.random(count)
-    return UserPosition(
-        ground_x=radii * np.cos(azimuths),
-        ground_y=radii * np.sin(azimuths),
-        haps_altitude=haps_altitude,
-    )
+    return radii * np.cos(azimuths), radii * np.sin(azimuths)

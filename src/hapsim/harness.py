@@ -32,6 +32,7 @@ from .allocation import (
     scaled_min_power,
 )
 from .channel import (
+    composite_steering,
     converged_nodes,
     correlation_matrices,
     large_scale_fading,
@@ -189,14 +190,11 @@ def _disk_users(
 ) -> tuple[np.ndarray, np.ndarray, AngularCoordinates]:
     """users_per_trial positions i.i.d. uniform over the coverage disk:
     (sector, slant range, angles)."""
-    positions = drop_users(
-        cfg.users_per_trial, cfg.coverage_radius, cfg.haps_altitude, rng
-    )
-    sector = sector_of(
-        np.arctan2(positions.ground_y, positions.ground_x), cfg.n_sectors
-    )
-    angles = user_angles(positions, sector_boresight(sector, cfg.n_sectors))
-    return sector, positions.distance_3d, angles
+    x, y = drop_users(cfg.users_per_trial, cfg.coverage_radius, rng)
+    h = cfg.haps_altitude
+    sector = sector_of(np.arctan2(y, x), cfg.n_sectors)
+    angles = user_angles(x, y, h, sector_boresight(sector, cfg.n_sectors))
+    return sector, np.hypot(np.hypot(x, y), h), angles
 
 
 def place_and_cluster(
@@ -238,20 +236,23 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
 
     Each stage runs once over all served users; the draws keep the order of
     a per-user loop (every user's fading, then every user's channel), so the
-    random stream and every value match it bit for bit.
+    random stream and every value match it bit for bit. One table of unit
+    steering rows, in user-id order, is both the LoS direction and the
+    matched-beam precoder column of each user.
     """
     served, unserved, rng = place_and_cluster(cfg, master_seed, trial)
     acfg = cfg.array_config()
     spread = cfg.scattering_spread()
     angles = served.angles
+    steering_rows = composite_steering(angles.mu_phi, angles.mu_h, acfg)
 
     fading = large_scale_fading(
-        served.distance, cfg.carrier_freq, cfg.fading_model(), rng
+        served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
     )
     # the covariances stay lag tables, expanded one eigh chunk at a time
     # inside the draw, and live only for this call
     channels = sample_channel(
-        los_channel(fading, angles, acfg),
+        los_channel(fading, steering_rows),
         correlation_matrices(
             angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
             quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
@@ -265,7 +266,7 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     plan = assign_resource_blocks(groups.cluster_ids, cfg.nbr, cfg.r)
     interference = build_interference_map(
         groups, served.sector, served.section, served.subsection, channels, plan,
-        build_cluster_precoders(angles.mu_phi, angles.mu_h, groups.order, acfg),
+        build_cluster_precoders(steering_rows, groups.order),
     )
     return TrialState(
         cfg=cfg,

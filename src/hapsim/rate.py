@@ -21,9 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .allocation import Clustering, PowerAllocation, QoSSpec, ResourcePlan
-from .channel import composite_steering
 from .dofgrid import GridCell
-from .geometry import ArrayConfig
 
 
 class UserCell(NamedTuple):
@@ -46,17 +44,16 @@ class RateReport:
     qos_margin_realized: float        # min over users, with interference
 
 
-def build_cluster_precoders(
-    mu_phi: np.ndarray, mu_h: np.ndarray, order: np.ndarray, cfg: ArrayConfig
-) -> np.ndarray:
-    """The users' unit steering vectors as rows, in evaluation order.
+def build_cluster_precoders(steering_rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The users' unit steering vectors, rows in user-id order, taken in
+    evaluation order.
 
     A (sector, cluster) group's precoder is its block of rows transposed:
     column k is the unit steering vector of the group's k-th member by
     user id. Angle-only, so the result can be computed once per trial and
     reused across power points.
     """
-    return composite_steering(mu_phi, mu_h, cfg)[order]
+    return steering_rows[order]
 
 
 @dataclass(frozen=True)

@@ -273,7 +273,8 @@ def array_trial(users, nbr, r, cfg):
     u = user_arrays(sorted(users, key=lambda v: v.user_id))
     groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
     plan = assign_resource_blocks(groups.cluster_ids, nbr, r)
-    precoders = build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, cfg)
+    steering_rows = composite_steering(u.mu_phi, u.mu_h, cfg)
+    precoders = build_cluster_precoders(steering_rows, groups.order)
     im = build_interference_map(
         groups, u.sector, u.section, u.subsection, u.channels, plan, precoders
     )

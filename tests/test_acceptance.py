@@ -21,6 +21,7 @@ from hapsim.allocation import QoSSpec, fill_remaining_power, min_power_coefficie
 from hapsim.channel import (
     LargeScaleFading,
     ScatteringSpread,
+    composite_steering,
     los_channel,
     sample_channel,
     steering,
@@ -272,7 +273,7 @@ def test_06_channel_sampling_moments():
     )
     spread = ScatteringSpread(delta_phi=0.05, delta_theta=0.02)
     fading = LargeScaleFading(beta_los=2e-13, beta_nlos=3e-14)
-    mean = los_channel(fading, angles, cfg)
+    mean = los_channel(fading, composite_steering(angles.mu_phi, angles.mu_h, cfg))
     cov = correlation_matrix(angles, spread, fading.beta_nlos, cfg)
     rng = np.random.default_rng(6)
     n = 100_000

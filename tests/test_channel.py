@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hapsim.geometry import (
     ArrayConfig,
     AngularCoordinates,
-    UserPosition,
     user_angles,
 )
 from hapsim import channel
 from hapsim.channel import (
-    FadingModel,
     InvalidCovarianceError,
     LargeScaleFading,
     ScatteringSpread,
@@ -83,22 +81,21 @@ class TestLosChannel:
     def test_single_element(self):
         cfg = ArrayConfig(m_x=1, m_y=1)
         fading = LargeScaleFading(beta_los=4.0, beta_nlos=0.4)
-        h = los_channel(fading, angles_at(0.3, 0.5), cfg)
+        h = los_channel(fading, composite_steering(0.3, 0.5, cfg))
         assert np.allclose(h, [2.0])
 
     def test_norm_is_sqrt_beta(self):
         cfg = ArrayConfig(m_x=4, m_y=3)
         fading = LargeScaleFading(beta_los=2.5e-13, beta_nlos=0.0)
-        h = los_channel(fading, angles_at(-0.4, 0.7), cfg)
+        h = los_channel(fading, composite_steering(-0.4, 0.7, cfg))
         assert np.linalg.norm(h) ** 2 == pytest.approx(2.5e-13)
 
     def test_phases_match_wave_vector_form(self):
         # per-element exp(j k^T u_m) must reproduce the mu-space phases
         cfg = ArrayConfig(m_x=3, m_y=4)
-        user = UserPosition(60e3, 35e3, 20e3)
-        ang = user_angles(user, 0.35)
+        ang = user_angles(60e3, 35e3, 20e3, 0.35)
         fading = LargeScaleFading(beta_los=1.0, beta_nlos=0.0)
-        h = los_channel(fading, ang, cfg)
+        h = los_channel(fading, composite_steering(ang.mu_phi, ang.mu_h, cfg))
         k = array_wave_vector(ang.azimuth, ang.elevation, cfg.wavelength)
         phases = np.array([
             np.exp(1j * k @ element_position(m, cfg))
@@ -286,9 +283,8 @@ class TestLargeScaleFading:
         assert path_loss_db(20e3, 2.5e9) == pytest.approx(126.42718330860374, abs=1e-10)
 
     def test_zero_shadowing_deterministic(self):
-        model = FadingModel(sigma_sf_los=0.0, sigma_sf_nlos=0.0, nlos_penalty_db=10.0)
         rng = np.random.default_rng(0)
-        f = large_scale_fading(20e3, 2.5e9, model, rng)
+        f = large_scale_fading(20e3, 2.5e9, (0.0, 0.0), 10.0, rng)
         assert f.beta_los == pytest.approx(10 ** (-12.642718330860374))
         assert f.beta_nlos == pytest.approx(f.beta_los / 10.0)
 
@@ -296,12 +292,13 @@ class TestLargeScaleFading:
         with pytest.raises(ValueError):
             path_loss_db(0.0, 2.5e9)
         with pytest.raises(ValueError):
-            large_scale_fading(-5.0, 2.5e9, FadingModel(), np.random.default_rng(0))
+            large_scale_fading(-5.0, 2.5e9, (4.0, 6.0), 10.0, np.random.default_rng(0))
 
     def test_shadowing_spread(self):
-        model = FadingModel(sigma_sf_los=4.0, sigma_sf_nlos=6.0)
         rng = np.random.default_rng(5)
-        draws = [large_scale_fading(20e3, 2.5e9, model, rng).beta_los for _ in range(2000)]
+        draws = [
+            large_scale_fading(20e3, 2.5e9, (4.0, 6.0), 10.0, rng).beta_los for _ in range(2000)
+        ]
         db = -10 * np.log10(draws) - 126.42718330860374
         assert np.std(db) == pytest.approx(4.0, rel=0.1)
 
@@ -345,10 +342,10 @@ class TestBatchedMatchesLoop:
         self.distances = rng.uniform(20e3, 100e3, n)
 
     def test_fading_and_los(self):
-        model = FadingModel()
+        model = ((4.0, 6.0), 10.0)
         rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
-        loop = [large_scale_fading(float(d), 2.5e9, model, rng_a) for d in self.distances]
-        batch = large_scale_fading(self.distances, 2.5e9, model, rng_b)
+        loop = [large_scale_fading(float(d), 2.5e9, *model, rng_a) for d in self.distances]
+        batch = large_scale_fading(self.distances, 2.5e9, *model, rng_b)
         assert np.array_equal(batch.beta_los, [f.beta_los for f in loop])
         assert np.array_equal(batch.beta_nlos, [f.beta_nlos for f in loop])
         stacked = AngularCoordinates(
@@ -358,8 +355,9 @@ class TestBatchedMatchesLoop:
             mu_h=np.array([a.mu_h for a in self.angles]),
         )
         assert np.array_equal(
-            los_channel(batch, stacked, self.cfg),
-            [los_channel(f, a, self.cfg) for f, a in zip(loop, self.angles)],
+            los_channel(batch, composite_steering(stacked.mu_phi, stacked.mu_h, self.cfg)),
+            [los_channel(f, composite_steering(a.mu_phi, a.mu_h, self.cfg))
+             for f, a in zip(loop, self.angles)],
         )
 
     def test_covariances_and_draws(self):

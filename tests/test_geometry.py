@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from hapsim.geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
-    UserPosition,
     drop_users,
     sector_boresight,
     sector_of,
@@ -78,18 +77,18 @@ class TestWaveVector:
 
 class TestUserAngles:
     def test_nadir(self):
-        a = user_angles(UserPosition(0.0, 0.0, 20e3), 0.0)
+        a = user_angles(0.0, 0.0, 20e3, 0.0)
         assert a.elevation == pytest.approx(np.pi / 2)
         assert a.mu_h == 0.0
 
     def test_coverage_edge(self):
         # closed form 100 / sqrt(100^2 + 20^2)
-        a = user_angles(UserPosition(100e3, 0.0, 20e3), 0.0)
+        a = user_angles(100e3, 0.0, 20e3, 0.0)
         assert a.mu_h == pytest.approx(0.9805806756909202, abs=1e-14)
 
     def test_mu_phi_at_45_degrees(self):
         # boresight ray, theta = 45 deg: mu_phi = sin(45) * cos(0)
-        a = user_angles(UserPosition(20e3, 0.0, 20e3), 0.0)
+        a = user_angles(20e3, 0.0, 20e3, 0.0)
         assert a.azimuth == pytest.approx(0.0, abs=1e-12)
         assert a.mu_phi == pytest.approx(np.sin(np.pi / 4))
 
@@ -97,7 +96,7 @@ class TestUserAngles:
         # the attainable mu_h span over the disk is sin(arctan(R/h))
         R, h = 100e3, 20e3
         rng = np.random.default_rng(7)
-        mus = user_angles(drop_users(4000, R, h, rng), 0.0).mu_h
+        mus = user_angles(*drop_users(4000, R, rng), h, 0.0).mu_h
         sin_edge = np.sin(np.arctan(R / h))
         assert 0.0 <= min(mus) and max(mus) <= sin_edge + 1e-12
         # area-uniform drops pile up near the rim, so the top is tight
@@ -111,8 +110,7 @@ class TestUserAngles:
     )
     @settings(**SETTINGS)
     def test_mu_definitions(self, x, y, bore):
-        u = UserPosition(x, y, 20e3)
-        a = user_angles(u, bore)
+        a = user_angles(x, y, 20e3, bore)
         assert a.mu_phi == pytest.approx(np.sin(a.elevation) * np.cos(a.azimuth), abs=1e-12)
         assert a.mu_h == pytest.approx(np.cos(a.elevation), abs=1e-12)
         assert abs(a.mu_phi) <= 1.0 + 1e-12
@@ -145,22 +143,22 @@ class TestSectorOf:
 class TestDropUsers:
     def test_empty(self):
         rng = np.random.default_rng(0)
-        users = drop_users(0, 100e3, 20e3, rng)
-        assert users.ground_x.shape == users.ground_y.shape == (0,)
+        x, y = drop_users(0, 100e3, rng)
+        assert x.shape == y.shape == (0,)
 
     def test_degenerate_radius(self):
         rng = np.random.default_rng(0)
-        users = drop_users(5, 0.0, 20e3, rng)
-        assert users.ground_distance.shape == (5,)
-        assert np.all(users.ground_distance == 0.0)
+        r = np.hypot(*drop_users(5, 0.0, rng))
+        assert r.shape == (5,)
+        assert np.all(r == 0.0)
 
     def test_seed_determinism(self):
-        a = drop_users(50, 100e3, 20e3, np.random.default_rng(3))
-        b = drop_users(50, 100e3, 20e3, np.random.default_rng(3))
-        assert np.array_equal(a.ground_x, b.ground_x)
-        assert np.array_equal(a.ground_y, b.ground_y)
+        a = drop_users(50, 100e3, np.random.default_rng(3))
+        b = drop_users(50, 100e3, np.random.default_rng(3))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_inside_disk(self):
-        users = drop_users(500, 100e3, 20e3, np.random.default_rng(1))
-        assert users.ground_distance.shape == (500,)
-        assert np.all(users.ground_distance <= 100e3)
+        r = np.hypot(*drop_users(500, 100e3, np.random.default_rng(1)))
+        assert r.shape == (500,)
+        assert np.all(r <= 100e3)

@@ -2,6 +2,7 @@ import csv
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -367,11 +368,22 @@ class TestRunCsv:
         assert (tmp_path / "a/run.csv").read_bytes() == (tmp_path / "b/run.csv").read_bytes()
         assert (tmp_path / "a/meta.txt").read_bytes() == (tmp_path / "b/meta.txt").read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path):
+    @pytest.mark.parametrize("entry", [
+        run,
+        partial(sweep_power, powers_dbm=[30.0, 46.0]),
+        sweep_rb,
+    ], ids=["run", "sweep_power", "sweep_rb"])
+    def test_worker_count_invariance(self, tmp_path, entry):
+        # with two usable CPUs, workers=2 runs a real process pool; its
+        # CSV and meta bytes are those of the serial run
         cfg = fast_cfg()
-        run(cfg, out_dir=tmp_path / "w1", workers=1)
-        run(cfg, out_dir=tmp_path / "w2", workers=2)
-        assert (tmp_path / "w1/run.csv").read_bytes() == (tmp_path / "w2/run.csv").read_bytes()
+        for workers in (1, 2):
+            entry(cfg, out_dir=tmp_path / f"w{workers}", workers=workers)
+        serial, pooled = sorted((tmp_path / "w1").iterdir()), sorted((tmp_path / "w2").iterdir())
+        assert [p.name for p in serial] == [p.name for p in pooled]
+        assert len(serial) == 2  # <command>.csv and meta.txt
+        for a, b in zip(serial, pooled):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
     def test_rows_are_the_record_columns(self, tmp_path):
         # crowded disk drops: shares, omegas and rates differ user to user

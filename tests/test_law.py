@@ -28,6 +28,11 @@ re-baselines that redraw or re-round every realization.
 
     hapsim sweep-power --powers-dbm 30,40,46 --trials 400 \\
         --config tests/golden/<config>.cfg --out <dir>
+
+A fourth, fast check pins the identity the allocator budgets QoS on:
+beta_los is the gain |m^H p|^2 of the LoS mean m on the user's own
+precoder column p, with m and p built from one steering table as
+prepare_trial builds them.
 """
 
 import csv
@@ -41,6 +46,7 @@ import pytest
 from hapsim.channel import composite_steering, converged_nodes, large_scale_fading, los_channel
 from hapsim.config import ScenarioConfig, load_config
 from hapsim.harness import place_and_cluster, prepare_trial, sweep_power
+from hapsim.rate import build_cluster_precoders
 
 from oracles import node_responses
 
@@ -73,7 +79,9 @@ def replayed_trial(cfg, trial):
     # replay the placement and fading draws, which come before the channel
     # draw on the trial's stream
     served, _unserved, rng = place_and_cluster(cfg, cfg.seed, trial)
-    fading = large_scale_fading(served.distance, cfg.carrier_freq, cfg.fading_model(), rng)
+    fading = large_scale_fading(
+        served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
+    )
     assert np.array_equal(served.user_id, state.served.user_id)
     assert np.array_equal(fading.beta_los, state.gain)
     return state, served.angles, fading
@@ -83,7 +91,8 @@ def law_moments(cfg, angles, fading, users, v):
     """(a, s) of the given users (positions in user-id order), each
     against its own unit vector, a row of v."""
     acfg, spread = cfg.array_config(), cfg.scattering_spread()
-    a = np.abs(np.sum(los_channel(fading, angles, acfg)[users].conj() * v, axis=1)) ** 2
+    mean = los_channel(fading, composite_steering(angles.mu_phi, angles.mu_h, acfg))
+    a = np.abs(np.sum(mean[users].conj() * v, axis=1)) ** 2
     q = converged_nodes(spread, acfg, cfg.quadrature_points)
     s = np.empty(len(users))
     for lo in range(0, len(users), 100):  # node responses of 100 users at a time
@@ -150,6 +159,19 @@ def test_interference_gains_follow_the_law(name):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("config", ["disk", "reuse", "tiny"])
+def test_allocator_gain_is_the_los_beam_gain(config):
+    cfg = replace(load_config(GOLDEN / f"{config}.cfg"), seed=42)
+    state, angles, fading = replayed_trial(cfg, 0)
+    steering_rows = composite_steering(angles.mu_phi, angles.mu_h, cfg.array_config())
+    order = state.interference.order
+    mean = los_channel(fading, steering_rows)[order]
+    precoders = build_cluster_precoders(steering_rows, order)
+    beam_gain = np.abs(np.sum(mean.conj() * precoders, axis=1)) ** 2
+    assert len(order) == len(state.gain) > 0
+    np.testing.assert_allclose(beam_gain, state.gain[order], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.slow

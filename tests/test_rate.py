@@ -37,6 +37,7 @@ def mu_only(mu_phi, mu_h):
 
 
 CFG = ArrayConfig(m_x=4, m_y=4)
+NBR = 50  # blocks of the plans plan_for builds
 
 
 def served(uid, cell, ang, channel, ts=1.0):
@@ -81,7 +82,7 @@ def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
     keyed by user id; allocator gains default to the realized own-beam
     gains |h^H p|^2. The users' declared time shares replace the ones
     their cells give, so a lone user can hold part of its slot."""
-    u, _groups, _plan, im = array_trial(users, plan.total_rb, plan.rb_per_user, CFG)
+    u, _groups, _plan, im = array_trial(users, NBR, plan.rb_per_user, CFG)
     share = {v.user_id: v.time_share for v in users}
     im = replace(im, time_share=np.array([share[uid] for uid in u.user_id.tolist()])[im.order])
     if gains is None:
@@ -93,7 +94,7 @@ def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
     return by_user(report, u.user_id.tolist())
 
 
-def plan_for(users, r, nbr=50):
+def plan_for(users, r, nbr=NBR):
     u = user_arrays(users)
     groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
     return assign_resource_blocks(groups.cluster_ids, nbr, r)
@@ -104,7 +105,7 @@ def precoder(users, key, cfg=CFG):
     arrays taken in the order given."""
     u = user_arrays(users)
     groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
-    rows = build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, cfg)
+    rows = build_cluster_precoders(composite_steering(u.mu_phi, u.mu_h, cfg), groups.order)
     first = groups.order[groups.starts[:-1]]
     g = list(zip(u.sector[first].tolist(), u.subsection[first].tolist())).index(key)
     return rows[groups.starts[g]:groups.starts[g + 1]].T
@@ -415,16 +416,17 @@ class TestInterferenceMapMatchesLoop:
         ))
 
 
-def assert_equals_oracles(user_id, time_share, plan, im, users, cfg):
-    """An array trial (ids and time shares in user-id order, its plan and
-    interference map) equals the dict-based grouping and the per-user map
-    on the same users, taken in user-id order as prepare_trial held them,
-    as assert_map_equals_oracle checks it; returns the map's oracle."""
+def assert_equals_oracles(user_id, time_share, plan, nbr, im, users, cfg):
+    """An array trial (ids and time shares in user-id order, its plan over
+    nbr blocks and interference map) equals the dict-based grouping and
+    the per-user map on the same users, taken in user-id order as
+    prepare_trial held them, as assert_map_equals_oracle checks it;
+    returns the map's oracle."""
     users = sorted(users, key=lambda u: u.user_id)
     clusters = cluster_users_ref([(u.user_id, u.cell) for u in users])
     shares = {uid: ts for cl in clusters for uid, ts in cl.time_shares.items()}
     plan_ref = assign_resource_blocks(
-        [cl.subsection_id for cl in clusters], plan.total_rb, plan.rb_per_user
+        [cl.subsection_id for cl in clusters], nbr, plan.rb_per_user
     )
     assert time_share.tolist() == [shares[uid] for uid in user_id.tolist()]
     assert plan == plan_ref
@@ -494,8 +496,8 @@ class TestArrayTrialMatchesOracles:
             assert state.plan.reuse == reuse
             assert bool(np.any(state.time_share < 1.0)) == shared
             assert_equals_oracles(
-                state.served.user_id, state.time_share, state.plan, state.interference,
-                trial_users(state), cfg.array_config(),
+                state.served.user_id, state.time_share, state.plan, cfg.nbr,
+                state.interference, trial_users(state), cfg.array_config(),
             )
 
     @pytest.mark.parametrize("nbr, r", [(50, 2), (10, 3)])
@@ -508,7 +510,7 @@ class TestArrayTrialMatchesOracles:
         ]
         u, groups, plan, im = array_trial(users, nbr, r, CFG)
         assert groups.time_share.tolist() == [0.2] * 5
-        assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
+        assert_equals_oracles(u.user_id, groups.time_share, plan, nbr, im, users, CFG)
 
     def test_blocks_held_by_many_groups(self):
         # 5 clusters x 3 blocks onto 4 blocks: every block has 3 or 4
@@ -524,13 +526,13 @@ class TestArrayTrialMatchesOracles:
         ]
         u, groups, plan, im = array_trial(users, 4, 3, CFG)
         assert plan.reuse
-        ref = assert_equals_oracles(u.user_id, groups.time_share, plan, im, users, CFG)
+        ref = assert_equals_oracles(u.user_id, groups.time_share, plan, 4, im, users, CFG)
         assert max(len(entries) for entries in ref.terms.values()) == 3
 
     def test_empty_users(self):
         u, groups, plan, im = array_trial([], 50, 1, CFG)
         assert len(im.order) == 0 and plan.cluster_blocks == {}
-        assert_equals_oracles(u.user_id, groups.time_share, plan, im, [], CFG)
+        assert_equals_oracles(u.user_id, groups.time_share, plan, 50, im, [], CFG)
 
 
 class TestScoringIgnoresBlockRule:
@@ -541,7 +543,7 @@ class TestScoringIgnoresBlockRule:
         # 5 clusters x 2 blocks onto 5 blocks, not (l - 1) * r mod nbr:
         # block 0 has three holders, and cell (1, 1, 3) time-shares
         plan = ResourcePlan(
-            rb_per_user=2, total_rb=5, reuse=True,
+            rb_per_user=2, reuse=True,
             cluster_blocks={1: (0, 1), 2: (2, 3), 3: (1, 4), 4: (3, 0), 5: (2, 0)},
         )
         rng = np.random.default_rng(21)
@@ -557,7 +559,7 @@ class TestScoringIgnoresBlockRule:
         assert groups.time_share.min() < 1.0
         im = build_interference_map(
             groups, u.sector, u.section, u.subsection, u.channels, plan,
-            build_cluster_precoders(u.mu_phi, u.mu_h, groups.order, CFG),
+            build_cluster_precoders(composite_steering(u.mu_phi, u.mu_h, CFG), groups.order),
         )
         users = [replace(v, time_share=ts) for v, ts in zip(users, groups.time_share.tolist())]
         ref = assert_map_equals_oracle(u.user_id, im, users, plan, CFG)
