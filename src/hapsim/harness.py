@@ -5,12 +5,15 @@ default_rng(SeedSequence((seed, t))), results are used in task order, and
 floats are written as str() of Python floats, which equals their repr(), so
 reruns are byte-identical. Trial state up to the channel draw is independent
 of transmit power, so power sweeps build each trial once and re-solve only
-the power allocation per point. Per-user results stay arrays in user-id
-order until the CSV text is built from them.
+the power allocation per point. The sweeps run every layout of one trial
+index in one task, and layouts whose channel draw reads equal inputs (disk
+drops at every r) share one draw through a DrawMemo. Per-user results stay
+arrays in user-id order until the CSV text is built from them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -32,6 +35,7 @@ from .allocation import (
     scaled_min_power,
 )
 from .channel import (
+    LagCovariances,
     composite_steering,
     converged_nodes,
     correlation_matrices,
@@ -105,7 +109,7 @@ class TrialState:
     # QoS is budgeted on the deterministic matched-beam direct-path gain
     # |mean^H v|^2 = beta_los, not on the realized fade
     gain: np.ndarray
-    channels: np.ndarray  # (N, M)
+    channels: np.ndarray  # (N, M), read-only: layouts may share one draw
     plan: ResourcePlan
     unserved: int
     interference: InterferenceMap
@@ -141,6 +145,42 @@ class TrialRecord:
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
+
+
+class DrawMemo:
+    """The last channel draw, reused while its inputs repeat.
+
+    The key is a sha256 over everything sample_channel reads: the mean's
+    and the lag tables' bytes, shapes and dtypes, and the generator state.
+    Equal keys mean a fresh draw would give the same bits, so a hit returns
+    the stored channels (read-only, shared by every trial that gets them)
+    and moves the generator to where the draw left it. A digest, not the
+    inputs, is kept, so the memo holds no copy of the 1 MB inputs.
+    """
+
+    def __init__(self) -> None:
+        self._key: bytes | None = None
+        self._channels: np.ndarray | None = None
+        self._state: dict | None = None
+
+    def draw(
+        self, mean: np.ndarray, covariance: LagCovariances, rng: np.random.Generator
+    ) -> np.ndarray:
+        digest = hashlib.sha256(repr(rng.bit_generator.state).encode())
+        for a in (mean, covariance.table, covariance.lag):
+            digest.update(repr((a.shape, a.dtype.str)).encode())
+            digest.update(np.ascontiguousarray(a))
+        key = digest.digest()
+        if key == self._key:
+            rng.bit_generator.state = self._state
+            return self._channels
+        self._key = self._channels = self._state = None  # free before drawing
+        # looked up at call time, so a rebinding of the module name (a
+        # tracer's wrapper) sees every draw that runs
+        channels = sample_channel(mean, covariance, rng)
+        channels.flags.writeable = False
+        self._key, self._channels, self._state = key, channels, rng.bit_generator.state
+        return channels
 
 
 def _acos(x: np.ndarray) -> np.ndarray:
@@ -231,14 +271,18 @@ def place_and_cluster(
     return served, len(inside) - len(keep), rng
 
 
-def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialState:
+def prepare_trial(
+    cfg: ScenarioConfig, master_seed: int, trial: int, draws: DrawMemo | None = None
+) -> TrialState:
     """Geometry, clustering, fading and channel draws for one trial.
 
     Each stage runs once over all served users; the draws keep the order of
     a per-user loop (every user's fading, then every user's channel), so the
     random stream and every value match it bit for bit. One table of unit
     steering rows, in user-id order, is both the LoS direction and the
-    matched-beam precoder column of each user.
+    matched-beam precoder column of each user. Given a DrawMemo, the
+    channels come through it: a layout whose draw inputs equal the last
+    one's reuses its channels. The channels are read-only either way.
     """
     served, unserved, rng = place_and_cluster(cfg, master_seed, trial)
     acfg = cfg.array_config()
@@ -251,7 +295,8 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
     )
     # the covariances stay lag tables, expanded one eigh chunk at a time
     # inside the draw, and live only for this call
-    channels = sample_channel(
+    draw = sample_channel if draws is None else draws.draw
+    channels = draw(
         los_channel(fading, steering_rows),
         correlation_matrices(
             angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
@@ -259,6 +304,7 @@ def prepare_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialSta
         ),
         rng,
     )
+    channels.flags.writeable = False
 
     groups = cluster_users(
         served.user_id, served.sector, served.section, served.subsection
@@ -322,8 +368,10 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
     )
 
 
-def run_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialRecord:
-    state = prepare_trial(cfg, master_seed, trial)
+def run_trial(
+    cfg: ScenarioConfig, master_seed: int, trial: int, draws: DrawMemo | None = None
+) -> TrialRecord:
+    state = prepare_trial(cfg, master_seed, trial, draws)
     return evaluate_trial(state, cfg.p_max, cfg.p_total)
 
 
@@ -356,14 +404,32 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None,
     return records
 
 
-def _sweep_power_task(
-    cfg_r: ScenarioConfig, seed: int, trial: int, powers_dbm: tuple[float, ...]
-) -> list[float]:
-    state = prepare_trial(cfg_r, seed, trial)
+def _power_sums(state: TrialState, powers_dbm: tuple[float, ...]) -> list[float]:
     return [
         evaluate_trial(state, p, p).sum_rate_bps
         for p in map(dbm_to_watts, powers_dbm)
     ]
+
+
+def _sweep_power_task(
+    configs: Sequence[ScenarioConfig], seed: int, trial: int,
+    powers_dbm: tuple[float, ...],
+) -> list[list[float]]:
+    """Sum rates of one trial index by (layout, power). Each layout's state
+    is dropped before the next is prepared; only the draw memo carries over."""
+    draws = DrawMemo()
+    return [
+        _power_sums(prepare_trial(cfg_r, seed, trial, draws), powers_dbm)
+        for cfg_r in configs
+    ]
+
+
+def _sweep_rb_task(
+    configs: Sequence[ScenarioConfig], seed: int, trial: int
+) -> list[TrialRecord]:
+    """Records of one trial index, one per layout."""
+    draws = DrawMemo()
+    return [run_trial(cfg_r, seed, trial, draws) for cfg_r in configs]
 
 
 def sweep_power(
@@ -387,10 +453,10 @@ def sweep_power(
                 cfg_r.rho(dbm_to_watts(dbm))
             except ConfigError as exc:
                 raise ConfigError(f"power {dbm!r} dBm: {exc}") from None
-    tasks = [(cfg_r, cfg.seed, t, powers) for cfg_r in configs for t in range(cfg.trials)]
-    # sum rates by (layout, trial, power)
-    sums = np.array(_map_tasks(_sweep_power_task, tasks, workers)).reshape(
-        len(configs), cfg.trials, len(powers)
+    tasks = [(configs, cfg.seed, t, powers) for t in range(cfg.trials)]
+    # sum rates by (layout, trial, power); the tasks return them by trial
+    sums = np.ascontiguousarray(
+        np.array(_map_tasks(_sweep_power_task, tasks, workers)).transpose(1, 0, 2)
     )
     rows = []
     # r_values ascend, so rows come sorted by (power, r)
@@ -428,13 +494,16 @@ def sweep_rb(
     """Per-user rate samples for each blocks-per-user choice (CDF data)."""
     r_set = tuple(r_values) if r_values is not None else figure_r_values(cfg)
     configs = [replace(cfg, r=r) for r in r_set]
-    tasks = [(cfg_r, cfg.seed, t) for cfg_r in configs for t in range(cfg.trials)]
+    tasks = [(configs, cfg.seed, t) for t in range(cfg.trials)]
+    per_trial = _map_tasks(_sweep_rb_task, tasks, workers)
     rows: list[tuple] = []
-    for (cfg_r, _seed, t), rec in zip(tasks, _map_tasks(run_trial, tasks, workers)):
-        rows.extend(zip(
-            repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
-            rec.users.tolist(), rec.rate_bps.tolist(),
-        ))
+    # rows by (layout, trial)
+    for cfg_r, records in zip(configs, zip(*per_trial)):
+        for rec in records:
+            rows.extend(zip(
+                repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count),
+                repeat(rec.trial), rec.users.tolist(), rec.rate_bps.tolist(),
+            ))
     header = ["r", "L", "trial", "user", "rate_bps"]
     if out_dir is not None:
         _write_outputs(

@@ -127,9 +127,10 @@ def test_traced_disk_drops_place_once_per_trial(perfbench, tmp_path, capsys):
 
 
 def test_traced_layouts_draw_covariances_once_each(perfbench, tmp_path, capsys):
-    # --trace 1 predicts one covariance call per prepared trial; disk drops
-    # at 10 MHz draw the same channels for r = 1, 2 and 3, and a draw shared
-    # across those layouts would break that prediction here first
+    # --trace 1 predicts one covariance call per prepared trial, so only a
+    # covariance shared across layouts would break its prediction. The draw
+    # may be shared: disk drops at 10 MHz give r = 1, 2 and 3 equal draw
+    # inputs, and the three layouts of the trial draw once
     config = tmp_path / "layouts.cfg"
     config.write_text(
         "bandwidth = 10e6\nusers_per_trial = 150\nquadrature_points = 4\ntrials = 1\n"
@@ -145,6 +146,7 @@ def test_traced_layouts_draw_covariances_once_each(perfbench, tmp_path, capsys):
     stats = tracer.stats
     assert stats["harness.prepare_trial"].calls == 3  # one trial, r = 1, 2, 3
     assert stats["channel.correlation_matrices"].calls == 3
+    assert stats["channel.sample_channel"].calls == 1
 
 
 @pytest.mark.parametrize("workload", ["ordering-sweep", "run-q32", "disk-drop"])

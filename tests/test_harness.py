@@ -7,10 +7,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from hapsim.channel import composite_steering
+import hapsim.harness
+from hapsim.channel import (
+    LagCovariances, composite_steering, correlation_matrices, sample_channel,
+)
 from hapsim.config import ScenarioConfig
 from hapsim.geometry import AngularCoordinates
 from hapsim.harness import (
+    DrawMemo,
     TrialRecord,
     dbm_to_watts,
     evaluate_trial,
@@ -29,6 +33,9 @@ from hapsim.harness import (
 from oracles import orthogonality_defect, trial_users
 
 FAST = dict(quadrature_points=4, trials=2, seed=42)
+
+
+DISK10 = dict(bandwidth=10e6, users_per_trial=150)
 
 
 def fast_cfg(**kw):
@@ -280,6 +287,99 @@ class TestPlacementMatchesLoop:
 COLUMNS = [f.name for f in fields(TrialRecord) if not f.compare]
 
 
+def next_ulp(a, index):
+    """A copy of complex array a with the real part at index one ulp up."""
+    a = a.copy()
+    a[index] = complex(np.nextafter(a[index].real, np.inf), a[index].imag)
+    return a
+
+
+def generator_at(state):
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestDrawMemo:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The memo's draws, counted where it calls sample_channel."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_channel(*args)
+
+        monkeypatch.setattr(hapsim.harness, "sample_channel", counted)
+        return calls
+
+    @staticmethod
+    def moments():
+        cfg = fast_cfg()
+        acfg = cfg.array_config()
+        rng = np.random.default_rng(3)
+        n = 5
+        cov = correlation_matrices(
+            rng.uniform(0.5, 2.5, n), rng.uniform(0.2, 1.2, n),
+            cfg.scattering_spread(), rng.uniform(0.5, 2.0, n), acfg,
+            quadrature_points=4,
+        )
+        m = cov.lag.shape[0]
+        mean = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        return mean, cov
+
+    def test_hit_returns_the_stored_read_only_draw(self, draws):
+        mean, cov = self.moments()
+        memo = DrawMemo()
+        first = memo.draw(mean, cov, np.random.default_rng(1))
+        # equal inputs in other arrays still hit
+        again = memo.draw(
+            mean.copy(), LagCovariances(cov.table.copy(), cov.lag.copy()),
+            np.random.default_rng(1),
+        )
+        assert len(draws) == 1
+        assert again is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, sample_channel(mean, cov, np.random.default_rng(1)))
+
+    def test_hit_leaves_the_generator_where_a_draw_does(self, draws):
+        mean, cov = self.moments()
+        memo = DrawMemo()
+        memo.draw(mean, cov, np.random.default_rng(1))
+        rng, fresh = np.random.default_rng(1), np.random.default_rng(1)
+        memo.draw(mean, cov, rng)
+        sample_channel(mean, cov, fresh)
+        assert len(draws) == 1
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
+    @pytest.mark.parametrize("change", ["mean", "table", "lag", "generator"])
+    def test_changed_input_draws_anew(self, draws, change):
+        mean, cov = self.moments()
+        memo = DrawMemo()
+        first = memo.draw(mean, cov, np.random.default_rng(1))
+        rng = np.random.default_rng(1)
+        if change == "mean":
+            mean = next_ulp(mean, (2, 5))
+        elif change == "table":
+            cov = LagCovariances(next_ulp(cov.table, (3, 7)), cov.lag)
+        elif change == "lag":  # each matrix transposed: still Hermitian PSD
+            cov = LagCovariances(cov.table, np.ascontiguousarray(cov.lag.T))
+        else:
+            rng.standard_normal()
+        start = rng.bit_generator.state
+        second = memo.draw(mean, cov, rng)
+        assert len(draws) == 2
+        assert second is not first
+        assert not second.flags.writeable
+        assert np.array_equal(second, sample_channel(mean, cov, generator_at(start)))
+
+    def test_trial_channels_are_read_only(self):
+        cfg = fast_cfg(users_per_trial=40)
+        for draws in (None, DrawMemo()):
+            state = prepare_trial(cfg, cfg.seed, 0, draws)
+            assert not state.channels.flags.writeable
+
+
 class TestRunTrial:
     def test_repeatable(self):
         cfg = fast_cfg()
@@ -368,15 +468,18 @@ class TestRunCsv:
         assert (tmp_path / "a/run.csv").read_bytes() == (tmp_path / "b/run.csv").read_bytes()
         assert (tmp_path / "a/meta.txt").read_bytes() == (tmp_path / "b/meta.txt").read_bytes()
 
-    @pytest.mark.parametrize("entry", [
-        run,
-        partial(sweep_power, powers_dbm=[30.0, 46.0]),
-        sweep_rb,
-    ], ids=["run", "sweep_power", "sweep_rb"])
-    def test_worker_count_invariance(self, tmp_path, entry):
+    @pytest.mark.parametrize("entry, kw", [
+        (run, {}),
+        (partial(sweep_power, powers_dbm=[30.0, 46.0]), {}),
+        (sweep_rb, {}),
+        (partial(sweep_power, powers_dbm=[30.0, 46.0]), DISK10),
+        (sweep_rb, DISK10),
+    ], ids=["run", "sweep_power", "sweep_rb", "sweep_power-disk10", "sweep_rb-disk10"])
+    def test_worker_count_invariance(self, tmp_path, entry, kw):
         # with two usable CPUs, workers=2 runs a real process pool; its
-        # CSV and meta bytes are those of the serial run
-        cfg = fast_cfg()
+        # CSV and meta bytes are those of the serial run. On 10 MHz disk
+        # drops each pooled task shares one draw across r = 1, 2 and 3
+        cfg = fast_cfg(**kw)
         for workers in (1, 2):
             entry(cfg, out_dir=tmp_path / f"w{workers}", workers=workers)
         serial, pooled = sorted((tmp_path / "w1").iterdir()), sorted((tmp_path / "w2").iterdir())
