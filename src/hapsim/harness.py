@@ -5,10 +5,11 @@ default_rng(SeedSequence((seed, t))), results are used in task order, and
 floats are written as str() of Python floats, which equals their repr(), so
 reruns are byte-identical. Trial state up to the channel draw is independent
 of transmit power, so power sweeps build each trial once and re-solve only
-the power allocation per point. The sweeps run every layout of one trial
-index in one task, and layouts whose channel draw reads equal inputs (disk
-drops at every r) share one draw through a DrawMemo. Per-user results stay
-arrays in user-id order until the CSV text is built from them.
+the power allocation per point. Disk drops feed every layout of one trial
+index equal draw inputs, so the sweeps run those layouts in one task that
+draws once through a DrawMemo; full-occupancy layouts never share a draw and
+run one task per (layout, trial). Per-user results stay arrays in user-id
+order until the CSV text is built from them.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -153,8 +154,9 @@ class DrawMemo:
     The key is a sha256 over everything sample_channel reads: the mean's
     and the lag tables' bytes, shapes and dtypes, and the generator state.
     Equal keys mean a fresh draw would give the same bits, so a hit returns
-    the stored channels (read-only, shared by every trial that gets them)
-    and moves the generator to where the draw left it. A digest, not the
+    the stored channels (shared by every trial that gets them, which is why
+    prepare_trial marks them read-only) and moves the generator to where
+    the draw left it. A digest, not the
     inputs, is kept, so the memo holds no copy of the 1 MB inputs.
     """
 
@@ -178,7 +180,6 @@ class DrawMemo:
         # looked up at call time, so a rebinding of the module name (a
         # tracer's wrapper) sees every draw that runs
         channels = sample_channel(mean, covariance, rng)
-        channels.flags.writeable = False
         self._key, self._channels, self._state = key, channels, rng.bit_generator.state
         return channels
 
@@ -294,15 +295,18 @@ def prepare_trial(
         served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
     )
     # the covariances stay lag tables, expanded one eigh chunk at a time
-    # inside the draw, and live only for this call
+    # inside the draw, and live only for this call. Keyword arguments run
+    # in order: the covariances are built before the LoS mean exists, so a
+    # draw the memo keeps from the last layout is never in memory with the
+    # covariance stage's temporaries and the mean at once
     draw = sample_channel if draws is None else draws.draw
     channels = draw(
-        los_channel(fading, steering_rows),
-        correlation_matrices(
+        covariance=correlation_matrices(
             angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
             quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
         ),
-        rng,
+        mean=los_channel(fading, steering_rows),
+        rng=rng,
     )
     channels.flags.writeable = False
 
@@ -368,10 +372,8 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
     )
 
 
-def run_trial(
-    cfg: ScenarioConfig, master_seed: int, trial: int, draws: DrawMemo | None = None
-) -> TrialRecord:
-    state = prepare_trial(cfg, master_seed, trial, draws)
+def run_trial(cfg: ScenarioConfig, master_seed: int, trial: int) -> TrialRecord:
+    state = prepare_trial(cfg, master_seed, trial)
     return evaluate_trial(state, cfg.p_max, cfg.p_total)
 
 
@@ -411,25 +413,36 @@ def _power_sums(state: TrialState, powers_dbm: tuple[float, ...]) -> list[float]
     ]
 
 
-def _sweep_power_task(
+def _layouts_task(
     configs: Sequence[ScenarioConfig], seed: int, trial: int,
-    powers_dbm: tuple[float, ...],
-) -> list[list[float]]:
-    """Sum rates of one trial index by (layout, power). Each layout's state
+    score: Callable[[TrialState], object],
+) -> list:
+    """score(state) of each layout of one trial index. Each layout's state
     is dropped before the next is prepared; only the draw memo carries over."""
-    draws = DrawMemo()
-    return [
-        _power_sums(prepare_trial(cfg_r, seed, trial, draws), powers_dbm)
-        for cfg_r in configs
-    ]
+    draws = DrawMemo() if len(configs) > 1 else None
+    return [score(prepare_trial(cfg_r, seed, trial, draws)) for cfg_r in configs]
 
 
-def _sweep_rb_task(
-    configs: Sequence[ScenarioConfig], seed: int, trial: int
-) -> list[TrialRecord]:
-    """Records of one trial index, one per layout."""
-    draws = DrawMemo()
-    return [run_trial(cfg_r, seed, trial, draws) for cfg_r in configs]
+def _map_layouts(
+    score: Callable[[TrialState], object], cfg: ScenarioConfig,
+    configs: Sequence[ScenarioConfig], workers: int,
+) -> list:
+    """score(state) of every (layout, trial), in (layout, trial) order.
+
+    Disk drops (users_per_trial set) feed every layout of a trial index
+    equal draw inputs, so one task runs all of them and draws once; full-
+    occupancy layouts differ in L, never share a draw, and each (layout,
+    trial) is its own task, so --workers spreads as many tasks as before.
+    """
+    shared = cfg.users_per_trial is not None
+    groups = [tuple(configs)] if shared else [(c,) for c in configs]
+    tasks = [(g, cfg.seed, t, score) for g in groups for t in range(cfg.trials)]
+    # in (group, trial, layout) order: (trial, layout) when shared
+    flat = [res for out in _map_tasks(_layouts_task, tasks, workers) for res in out]
+    if shared:
+        n = len(configs)
+        flat = [flat[t * n + i] for i in range(n) for t in range(cfg.trials)]
+    return flat
 
 
 def sweep_power(
@@ -453,11 +466,10 @@ def sweep_power(
                 cfg_r.rho(dbm_to_watts(dbm))
             except ConfigError as exc:
                 raise ConfigError(f"power {dbm!r} dBm: {exc}") from None
-    tasks = [(configs, cfg.seed, t, powers) for t in range(cfg.trials)]
-    # sum rates by (layout, trial, power); the tasks return them by trial
-    sums = np.ascontiguousarray(
-        np.array(_map_tasks(_sweep_power_task, tasks, workers)).transpose(1, 0, 2)
-    )
+    # sum rates by (layout, trial, power)
+    sums = np.array(
+        _map_layouts(partial(_power_sums, powers_dbm=powers), cfg, configs, workers)
+    ).reshape(len(configs), cfg.trials, len(powers))
     rows = []
     # r_values ascend, so rows come sorted by (power, r)
     for k, dbm in sorted(enumerate(powers), key=lambda kp: kp[1]):
@@ -494,16 +506,16 @@ def sweep_rb(
     """Per-user rate samples for each blocks-per-user choice (CDF data)."""
     r_set = tuple(r_values) if r_values is not None else figure_r_values(cfg)
     configs = [replace(cfg, r=r) for r in r_set]
-    tasks = [(configs, cfg.seed, t) for t in range(cfg.trials)]
-    per_trial = _map_tasks(_sweep_rb_task, tasks, workers)
+    records = _map_layouts(
+        partial(evaluate_trial, p_max=cfg.p_max, p_total=cfg.p_total),
+        cfg, configs, workers,
+    )
     rows: list[tuple] = []
-    # rows by (layout, trial)
-    for cfg_r, records in zip(configs, zip(*per_trial)):
-        for rec in records:
-            rows.extend(zip(
-                repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count),
-                repeat(rec.trial), rec.users.tolist(), rec.rate_bps.tolist(),
-            ))
+    for (cfg_r, t), rec in zip(product(configs, range(cfg.trials)), records):
+        rows.extend(zip(
+            repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
+            rec.users.tolist(), rec.rate_bps.tolist(),
+        ))
     header = ["r", "L", "trial", "user", "rate_bps"]
     if out_dir is not None:
         _write_outputs(

@@ -306,9 +306,9 @@ class TestDrawMemo:
         """The memo's draws, counted where it calls sample_channel."""
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return sample_channel(*args)
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return sample_channel(*args, **kwargs)
 
         monkeypatch.setattr(hapsim.harness, "sample_channel", counted)
         return calls
@@ -328,7 +328,7 @@ class TestDrawMemo:
         mean = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         return mean, cov
 
-    def test_hit_returns_the_stored_read_only_draw(self, draws):
+    def test_hit_returns_the_stored_draw(self, draws):
         mean, cov = self.moments()
         memo = DrawMemo()
         first = memo.draw(mean, cov, np.random.default_rng(1))
@@ -339,7 +339,6 @@ class TestDrawMemo:
         )
         assert len(draws) == 1
         assert again is first
-        assert not first.flags.writeable
         assert np.array_equal(first, sample_channel(mean, cov, np.random.default_rng(1)))
 
     def test_hit_leaves_the_generator_where_a_draw_does(self, draws):
@@ -370,14 +369,21 @@ class TestDrawMemo:
         second = memo.draw(mean, cov, rng)
         assert len(draws) == 2
         assert second is not first
-        assert not second.flags.writeable
         assert np.array_equal(second, sample_channel(mean, cov, generator_at(start)))
 
-    def test_trial_channels_are_read_only(self):
-        cfg = fast_cfg(users_per_trial=40)
-        for draws in (None, DrawMemo()):
-            state = prepare_trial(cfg, cfg.seed, 0, draws)
-            assert not state.channels.flags.writeable
+    def test_trial_channels_are_read_only(self, draws):
+        cfg = fast_cfg(**DISK10)
+        assert not prepare_trial(cfg, cfg.seed, 0).channels.flags.writeable
+        # disk drops give r = 1 and 2 equal draw inputs: the second layout
+        # gets the first one's read-only array
+        memo = DrawMemo()
+        first, second = (
+            prepare_trial(cfg_r, cfg.seed, 0, memo).channels
+            for cfg_r in (replace(cfg, r=1), replace(cfg, r=2))
+        )
+        assert second is first
+        assert not first.flags.writeable
+        assert len(draws) == 2  # one without the memo, one through it
 
 
 class TestRunTrial:
@@ -487,6 +493,23 @@ class TestRunCsv:
         assert len(serial) == 2  # <command>.csv and meta.txt
         for a, b in zip(serial, pooled):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+    @pytest.mark.parametrize("entry", [
+        partial(sweep_power, powers_dbm=[30.0, 46.0]), sweep_rb,
+    ], ids=["sweep_power", "sweep_rb"])
+    def test_only_disk_drops_group_layouts_in_one_task(self, monkeypatch, entry):
+        # a task per (layout, trial) at full occupancy, where no draw is
+        # shared, keeps --workers spreading as many tasks as there are
+        mapped, map_tasks = [], hapsim.harness._map_tasks
+
+        def recorded(fn, tasks, workers):
+            mapped.append([len(task[0]) for task in tasks])
+            return map_tasks(fn, tasks, workers)
+
+        monkeypatch.setattr(hapsim.harness, "_map_tasks", recorded)
+        entry(fast_cfg(bandwidth=10e6))
+        entry(fast_cfg(**DISK10))
+        assert mapped == [[1] * 6, [3, 3]]  # r = 1, 2, 3 by trials 0, 1
 
     def test_rows_are_the_record_columns(self, tmp_path):
         # crowded disk drops: shares, omegas and rates differ user to user
