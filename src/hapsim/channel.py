@@ -7,16 +7,18 @@ A user's channel to its serving UPA is Rician-style:
 
 The second-order NLoS statistics come from integrating the array response
 over a small angular box (azimuth spread x elevation spread) around the
-user direction, kept per user as a lag table and expanded to M x M one
-eigh chunk at a time as channels are drawn. Large-scale gains beta_los /
-beta_nlos follow free-space path loss with independent lognormal
-shadowing and an extra NLoS penalty.
+user direction. correlation_matrices returns the covariances as a
+description; the channel draw builds their lag tables one block of users
+at a time and expands each block to M x M one eigh chunk at a time, so no
+trial holds all its tables, and a draw that is reused builds none.
+Large-scale gains beta_los / beta_nlos follow free-space path loss with
+independent lognormal shadowing and an extra NLoS penalty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -96,41 +98,32 @@ def _reference_nodes(n: int):
     return t, w
 
 
-def _axis_nodes(centers: np.ndarray, half_width: float, n: int):
-    """Per-center quadrature nodes on [c-hw, c+hw], shape (len(centers), n),
-    and their normalized weights (summing to 1)."""
+def _axis_rule(half_width: float, n: int):
+    """Offsets of an axis's quadrature nodes from their center, shape (n,),
+    or None where a zero half-width leaves the center as the one node, and
+    the nodes' normalized weights (summing to 1)."""
     if half_width == 0.0:
-        return centers[:, None], np.array([1.0])
+        return None, np.array([1.0])
     t, w = _reference_nodes(n)
-    return centers[:, None] + half_width * t, w / 2.0
+    return half_width * t, w / 2.0
+
+
+def _axis_nodes(centers: np.ndarray, offsets: np.ndarray | None) -> np.ndarray:
+    """Per-center quadrature nodes of an _axis_rule, shape (len(centers), n)."""
+    return centers[:, None] if offsets is None else centers[:, None] + offsets
 
 
 # complex entries of the largest array built per chunk of users (the node
-# grid or a lag factor in correlation_matrices, the covariances gathered
+# grid or a lag factor of one block of lag tables, the covariances gathered
 # for one eigh call in sample_channel): 64 KiB buffers, under the C
 # allocator's mmap threshold, so each chunk reuses the last one's heap
 # memory (chunks of 2^14-2^16 entries raised a sweep's peak RSS by 2-5 MB)
 _CHUNK_ENTRIES = 1 << 12
 
 
-@dataclass(frozen=True)
-class LagCovariances:
-    """Covariances kept as lag tables, matrix u = table[u][lag]. Indexes like
-    the (N, M, M) stack it encodes: cov[i] and cov[lo:hi] gather those
-    users' matrices, and np.asarray(cov) gathers them all."""
-
-    table: np.ndarray  # (N, (2*m_x - 1)(2*m_y - 1)), scaled by beta
-    lag: np.ndarray  # (M, M): flat table position of entry (a, b)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (len(self.table),) + self.lag.shape
-
-    def __getitem__(self, key) -> np.ndarray:
-        return np.take(self.table[key], self.lag, axis=-1)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self[:], dtype=dtype)
+def _eigh_users(m: int) -> int:
+    """Users of one eigh chunk of M x M covariances."""
+    return max(1, _CHUNK_ENTRIES // (m * m))
 
 
 def _unit_phasors(phase: np.ndarray) -> np.ndarray:
@@ -139,6 +132,107 @@ def _unit_phasors(phase: np.ndarray) -> np.ndarray:
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class LagCovariances:
+    """One-ring covariances kept as what defines them (see
+    correlation_matrices), with no matrix or lag table built up front.
+    Indexes like the (N, M, M) stack it encodes: cov[i] and cov[lo:hi]
+    build those users' matrices, and np.asarray(cov) builds them all;
+    sample_channel builds the lag tables one block of users at a time."""
+
+    azimuth: np.ndarray  # (N,)
+    elevation: np.ndarray  # (N,)
+    beta_nlos: np.ndarray  # (N,)
+    spread: ScatteringSpread
+    cfg: ArrayConfig
+    quadrature_points: int
+    # set once per description, not per block
+    lag: np.ndarray = field(init=False, repr=False)  # (M, M): flat table position of entry (a, b)
+    # users per block of lag tables: as many as keep the block's largest
+    # array within _CHUNK_ENTRIES, rounded down to whole eigh chunks where
+    # the block holds more than one, so only the last eigh call of a draw
+    # takes a partial chunk
+    block: int = field(init=False)
+    _phi_rule: tuple = field(init=False, repr=False)  # _axis_rule of each axis
+    _theta_rule: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        m_x, m_y = self.cfg.m_x, self.cfg.m_y
+        n_dj = 2 * m_y - 1
+        i_idx, j_idx = element_indices(self.cfg)
+        phi_rule = _axis_rule(self.spread.delta_phi, self.quadrature_points)
+        theta_rule = _axis_rule(self.spread.delta_theta, self.quadrature_points)
+        n_phi, n_th = len(phi_rule[1]), len(theta_rule[1])
+        per_user = max(max(n_phi, m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
+        block, chunk = max(1, _CHUNK_ENTRIES // per_user), _eigh_users(self.cfg.m_total)
+        for name, value in (
+            # flat position of lag (i_a - i_b, j_a - j_b) in a (2*m_x - 1, n_dj) table
+            ("lag", (i_idx[:, None] - i_idx + m_x - 1) * n_dj + (j_idx[:, None] - j_idx + m_y - 1)),
+            ("block", block - block % chunk if block > chunk else block),
+            ("_phi_rule", phi_rule),
+            ("_theta_rule", theta_rule),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self.azimuth),) + self.lag.shape
+
+    def __getitem__(self, key) -> np.ndarray:
+        users = np.arange(len(self.azimuth))[key]
+        dense = np.take(self._tables(np.ravel(users)), self.lag, axis=-1)
+        return dense.reshape(np.shape(users) + self.lag.shape)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+    def _chunks(self):
+        """The matrices in user order, one eigh chunk per yielded stack,
+        built from one block of lag tables at a time."""
+        step = _eigh_users(self.cfg.m_total)
+        for lo in range(0, len(self.azimuth), self.block):
+            tables = self._tables(slice(lo, lo + self.block))
+            for i in range(0, len(tables), step):
+                yield np.take(tables[i:i + step], self.lag, axis=-1)
+            del tables  # freed before the next block is built
+
+    def _tables(self, users) -> np.ndarray:
+        """Lag tables (di + m_x - 1, dj + m_y - 1), flattened and scaled by
+        beta, of the users an index selects: (n, (2*m_x - 1)(2*m_y - 1))."""
+        cfg = self.cfg
+        m_x, m_y = cfg.m_x, cfg.m_y
+        n_dj = 2 * m_y - 1
+        (phi_offsets, w_phi), (theta_offsets, w_th) = self._phi_rule, self._theta_rule
+        phis = _axis_nodes(self.azimuth[users], phi_offsets)
+        thes = _axis_nodes(self.elevation[users], theta_offsets)
+        n_th = len(w_th)
+        # azimuth lag factor, summed over phi: az[u, di, th] for di = 0..m_x-1
+        z = _unit_phasors(
+            (-2.0 * np.pi * cfg.d_h) * np.sin(thes)[:, None, :] * np.cos(phis)[:, :, None]
+        )
+        az = np.empty((len(phis), m_x, n_th), dtype=complex)
+        az[:, 0] = w_phi.sum()
+        for di in range(1, m_x):
+            power = z if di == 1 else power * z
+            np.matmul(w_phi, power, out=az[:, di])
+        # weighted elevation lag factor el[u, th, dj + m_y - 1]
+        el = np.empty((len(thes), n_th, n_dj), dtype=complex)
+        el[..., m_y - 1] = 1.0
+        if m_y > 1:
+            el[..., m_y] = _unit_phasors((-2.0 * np.pi * cfg.d_v) * np.cos(thes))
+        for dj in range(2, m_y):
+            np.multiply(el[..., m_y + dj - 2], el[..., m_y], out=el[..., m_y + dj - 1])
+        el[..., : m_y - 1] = el[..., : m_y - 1 : -1].conj()
+        el *= w_th[:, None]
+        tables = np.empty((len(phis), (2 * m_x - 1) * n_dj), dtype=complex)
+        table = tables.reshape(-1, 2 * m_x - 1, n_dj)
+        np.matmul(az, el, out=table[:, m_x - 1:])
+        table[:, m_x - 1, : m_y - 1] = table[:, m_x - 1, : m_y - 1 : -1].conj()
+        table[:, : m_x - 1] = table[:, : m_x - 1 : -1, ::-1].conj()
+        table *= self.beta_nlos[users, None, None]
+        return tables
 
 
 def converged_nodes(spread: ScatteringSpread, cfg: ArrayConfig, limit: int) -> int:
@@ -180,7 +274,8 @@ def correlation_matrices(
     quadrature_points: int = 32,
 ) -> LagCovariances:
     """Batched one-ring covariance matrices, shape (len(azimuth), M, M),
-    one per user direction (azimuth[u], elevation[u]), kept as lag tables.
+    one per user direction (azimuth[u], elevation[u]), validated here and
+    returned as a LagCovariances description that builds them on use.
 
     Entry (a, b) of matrix u is
 
@@ -190,8 +285,8 @@ def correlation_matrices(
     with k the array wave vector, evaluated by a Gauss-Legendre product rule
     of quadrature_points nodes per axis. On a UPA the integrand depends only
     on the lag (di, dj) = (i_a - i_b, j_a - j_b), so the rule is applied to
-    the (2*m_x - 1)(2*m_y - 1) distinct lags; indexing the returned tables
-    gathers the block-Toeplitz matrix C[a, b] = beta * L(i_a - i_b, j_a - j_b),
+    the (2*m_x - 1)(2*m_y - 1) distinct lags of each user's lag table, and
+    the table gathers into the block-Toeplitz matrix C[a, b] = beta * L(i_a - i_b, j_a - j_b),
 
         L(di, dj) = sum_th w_th y(th)^dj az(di, th),
         az(di, th) = sum_phi w_phi z(phi, th)^di,
@@ -204,9 +299,9 @@ def correlation_matrices(
 
     Lags with di < 0, or di = 0 and dj < 0, are the conjugates of their
     mirrors, so every matrix is exactly Hermitian; its diagonal equals
-    beta and it is PSD, both to rounding. Users are processed in chunks;
-    every per-user operation has a fixed shape, so a user's matrix does
-    not depend on which other users share its chunk.
+    beta and it is PSD, both to rounding. Tables are built for blocks of
+    users; every per-user operation has a fixed shape, so a user's matrix
+    does not depend on which other users share its block.
     """
     if quadrature_points < 1:
         raise ValueError("quadrature_points must be >= 1")
@@ -216,46 +311,7 @@ def correlation_matrices(
         raise ValueError("need one elevation and one beta_nlos per azimuth")
     if np.any(beta_nlos < 0):
         raise ValueError("beta_nlos must be >= 0")
-
-    m_x, m_y = cfg.m_x, cfg.m_y
-    n_dj = 2 * m_y - 1
-    i_idx, j_idx = element_indices(cfg)
-    # flat position of lag (i_a - i_b, j_a - j_b) in a (2*m_x - 1, n_dj) table
-    lag = (i_idx[:, None] - i_idx + m_x - 1) * n_dj + (j_idx[:, None] - j_idx + m_y - 1)
-    # per-user lag tables (di + m_x - 1, dj + m_y - 1), flattened, scaled by beta
-    tables = np.empty((len(azimuth), (2 * m_x - 1) * n_dj), dtype=complex)
-    n_phi = 1 if spread.delta_phi == 0.0 else quadrature_points
-    n_th = 1 if spread.delta_theta == 0.0 else quadrature_points
-    per_user = max(max(n_phi, m_x, n_dj) * n_th, (2 * m_x - 1) * n_dj)
-    step = max(1, _CHUNK_ENTRIES // per_user)
-    for lo in range(0, len(azimuth), step):
-        hi = lo + step
-        phis, w_phi = _axis_nodes(azimuth[lo:hi], spread.delta_phi, quadrature_points)
-        thes, w_th = _axis_nodes(elevation[lo:hi], spread.delta_theta, quadrature_points)
-        # azimuth lag factor, summed over phi: az[u, di, th] for di = 0..m_x-1
-        z = _unit_phasors(
-            (-2.0 * np.pi * cfg.d_h) * np.sin(thes)[:, None, :] * np.cos(phis)[:, :, None]
-        )
-        az = np.empty((len(phis), m_x, n_th), dtype=complex)
-        az[:, 0] = w_phi.sum()
-        for di in range(1, m_x):
-            power = z if di == 1 else power * z
-            np.matmul(w_phi, power, out=az[:, di])
-        # weighted elevation lag factor el[u, th, dj + m_y - 1]
-        el = np.empty((len(thes), n_th, n_dj), dtype=complex)
-        el[..., m_y - 1] = 1.0
-        if m_y > 1:
-            el[..., m_y] = _unit_phasors((-2.0 * np.pi * cfg.d_v) * np.cos(thes))
-        for dj in range(2, m_y):
-            np.multiply(el[..., m_y + dj - 2], el[..., m_y], out=el[..., m_y + dj - 1])
-        el[..., : m_y - 1] = el[..., : m_y - 1 : -1].conj()
-        el *= w_th[:, None]
-        table = tables[lo:hi].reshape(-1, 2 * m_x - 1, n_dj)
-        np.matmul(az, el, out=table[:, m_x - 1:])
-        table[:, m_x - 1, : m_y - 1] = table[:, m_x - 1, : m_y - 1 : -1].conj()
-        table[:, : m_x - 1] = table[:, : m_x - 1 : -1, ::-1].conj()
-        table *= beta_nlos[lo:hi, None, None]
-    return LagCovariances(tables, lag)
+    return LagCovariances(azimuth, elevation, beta_nlos, spread, cfg, quadrature_points)
 
 
 def path_loss_db(distance_3d, carrier_freq: float):
@@ -314,23 +370,32 @@ def sample_channel(
     if covariance.shape != mean.shape + (m,):
         raise ValueError("covariance shape does not match mean")
     # one user is a stack of one; each eigh call takes at most _CHUNK_ENTRIES
-    # complex entries, sliced (gathered, for lag tables) just before it runs
+    # complex entries, sliced (built, for LagCovariances) just before it runs
     means, covs = mean.reshape(-1, m), (covariance[None] if mean.ndim == 1 else covariance)
     out = np.empty(means.shape, dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (m * m))
-    for lo in range(0, len(out), step):
-        chunk = slice(lo, lo + step)
-        c = covs[chunk]
-        w, u = np.linalg.eigh(c)
-        trace = np.real(np.trace(c, axis1=-2, axis2=-1))
-        low = np.min(w, axis=-1)
-        bad = low < -1e-10 * np.maximum(trace, 0.0)
-        if np.any(bad):
-            raise InvalidCovarianceError(
-                f"covariance has eigenvalue {np.min(low[bad]):.3e} below -1e-10 * trace"
-            )
-        w = np.where(w < 1e-12 * trace[:, None], 0.0, w)
-        z = rng.standard_normal((len(w), 2, m))
-        z = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        out[chunk] = means[chunk] + np.matmul(u, (np.sqrt(w) * z)[..., None])[..., 0]
+    step = _eigh_users(m)
+    chunks = (covs._chunks() if isinstance(covs, LagCovariances)
+              else (covs[i:i + step] for i in range(0, len(covs), step)))
+    lo = 0
+    for c in chunks:
+        hi = lo + len(c)
+        out[lo:hi] = _draw_chunk(means[lo:hi], c, rng)
+        lo = hi
     return out.reshape(mean.shape)
+
+
+def _draw_chunk(mean: np.ndarray, c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """sample_channel's draw for one stack of moments, (n, M) and (n, M, M);
+    its eigenvectors are freed before the next chunk is built."""
+    w, u = np.linalg.eigh(c)
+    trace = np.real(np.trace(c, axis1=-2, axis2=-1))
+    low = np.min(w, axis=-1)
+    bad = low < -1e-10 * np.maximum(trace, 0.0)
+    if np.any(bad):
+        raise InvalidCovarianceError(
+            f"covariance has eigenvalue {np.min(low[bad]):.3e} below -1e-10 * trace"
+        )
+    w = np.where(w < 1e-12 * trace[:, None], 0.0, w)
+    z = rng.standard_normal((len(w), 2, mean.shape[-1]))
+    z = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    return mean + np.matmul(u, (np.sqrt(w) * z)[..., None])[..., 0]

@@ -7,9 +7,10 @@ reruns are byte-identical. Trial state up to the channel draw is independent
 of transmit power, so power sweeps build each trial once and re-solve only
 the power allocation per point. Disk drops feed every layout of one trial
 index equal draw inputs, so the sweeps run those layouts in one task that
-draws once through a DrawMemo; full-occupancy layouts never share a draw and
-run one task per (layout, trial). Per-user results stay arrays in user-id
-order until the CSV text is built from them.
+draws once through a DrawMemo; the covariances' lag tables are built only
+inside a draw, so the layouts that reuse it build none. Full-occupancy
+layouts never share a draw and run one task per (layout, trial). Per-user
+results stay arrays in user-id order until the CSV text is built from them.
 """
 
 from __future__ import annotations
@@ -152,12 +153,15 @@ class DrawMemo:
     """The last channel draw, reused while its inputs repeat.
 
     The key is a sha256 over everything sample_channel reads: the mean's
-    and the lag tables' bytes, shapes and dtypes, and the generator state.
-    Equal keys mean a fresh draw would give the same bits, so a hit returns
-    the stored channels (shared by every trial that gets them, which is why
-    prepare_trial marks them read-only) and moves the generator to where
-    the draw left it. A digest, not the
-    inputs, is kept, so the memo holds no copy of the 1 MB inputs.
+    bytes, the covariance description's direction and gain arrays, the
+    shapes and dtypes of all four, the description's spread, array and
+    node count, and the generator state. Equal keys mean a fresh draw would
+    give the same bits, so a hit returns the stored channels (shared by
+    every trial that gets them, which is why prepare_trial marks them
+    read-only) and moves the generator to where the draw left it; it
+    builds no covariance at all, since the description's lag tables are
+    built only inside a draw. A digest, not the inputs, is kept, so the
+    memo holds no copy of the 0.34 MB of inputs.
     """
 
     def __init__(self) -> None:
@@ -168,8 +172,11 @@ class DrawMemo:
     def draw(
         self, mean: np.ndarray, covariance: LagCovariances, rng: np.random.Generator
     ) -> np.ndarray:
-        digest = hashlib.sha256(repr(rng.bit_generator.state).encode())
-        for a in (mean, covariance.table, covariance.lag):
+        digest = hashlib.sha256(repr((
+            rng.bit_generator.state, covariance.spread, covariance.cfg,
+            covariance.quadrature_points,
+        )).encode())
+        for a in (mean, covariance.azimuth, covariance.elevation, covariance.beta_nlos):
             digest.update(repr((a.shape, a.dtype.str)).encode())
             digest.update(np.ascontiguousarray(a))
         key = digest.digest()
@@ -294,19 +301,18 @@ def prepare_trial(
     fading = large_scale_fading(
         served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
     )
-    # the covariances stay lag tables, expanded one eigh chunk at a time
-    # inside the draw, and live only for this call. Keyword arguments run
-    # in order: the covariances are built before the LoS mean exists, so a
-    # draw the memo keeps from the last layout is never in memory with the
-    # covariance stage's temporaries and the mean at once
+    # the covariances are a description: the draw builds their lag tables
+    # one block of users at a time, and a memo hit builds none, so the
+    # argument order costs no memory. quadrature_points stays a keyword,
+    # which perfbench's traced correlation_matrices reads
     draw = sample_channel if draws is None else draws.draw
     channels = draw(
-        covariance=correlation_matrices(
+        los_channel(fading, steering_rows),
+        correlation_matrices(
             angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
             quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
         ),
-        mean=los_channel(fading, steering_rows),
-        rng=rng,
+        rng,
     )
     channels.flags.writeable = False
 

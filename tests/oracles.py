@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from hapsim.allocation import assign_resource_blocks, cluster_users
-from hapsim.channel import _axis_nodes, composite_steering, correlation_matrices
+from hapsim.channel import _axis_nodes, _axis_rule, composite_steering, correlation_matrices
 from hapsim.dofgrid import GridCell, steering_correlation
 from hapsim.geometry import AngularCoordinates, ArrayConfig, element_indices
 from hapsim.rate import build_cluster_precoders, build_interference_map
@@ -75,10 +75,10 @@ def node_responses(azimuth, elevation, spread, cfg, quadrature_points):
     exp(-2j*pi*(i*d_h*sin(th)*cos(phi) + j*d_v*cos(th))).
     """
     i_idx, j_idx = element_indices(cfg)
-    phis, w_phi = _axis_nodes(np.asarray(azimuth, dtype=float), spread.delta_phi,
-                              quadrature_points)
-    thes, w_th = _axis_nodes(np.asarray(elevation, dtype=float), spread.delta_theta,
-                             quadrature_points)
+    phi_offsets, w_phi = _axis_rule(spread.delta_phi, quadrature_points)
+    theta_offsets, w_th = _axis_rule(spread.delta_theta, quadrature_points)
+    phis = _axis_nodes(np.asarray(azimuth, dtype=float), phi_offsets)
+    thes = _axis_nodes(np.asarray(elevation, dtype=float), theta_offsets)
     # node (a, b) is (phis[:, a], thes[:, b]), flattened phi-major
     shape = (len(phis), phis.shape[1], thes.shape[1])
     mu_phi = (np.sin(thes)[:, None, :] * np.cos(phis)[:, :, None]).reshape(len(phis), -1)

@@ -383,9 +383,9 @@ class TestBatchedMatchesLoop:
 
 
 class TestLagCovariances:
-    """correlation_matrices keeps the covariances as lag tables, which index
-    like the dense (N, M, M) stack they encode, and sample_channel draws
-    from them as from that stack."""
+    """correlation_matrices returns a description that builds lag tables on
+    use, indexes like the dense (N, M, M) stack it encodes, and
+    sample_channel draws from it as from that stack."""
 
     # sha256 of the dense stack of covariances(300), as correlation_matrices
     # returned it before it kept lag tables; a platform's BLAS sets these
@@ -393,9 +393,9 @@ class TestLagCovariances:
     DENSE_SHA256 = "f7fd74a98ad85f8b699cb42dfe14f08e6af82cd717422e90118cf5d498971695"
 
     @staticmethod
-    def covariances(n):
+    def covariances(n, spread_deg=(2.0, 3.0)):
         angles, beta = random_users(n, seed=n)
-        spread = ScatteringSpread(np.radians(2.0), np.radians(3.0))
+        spread = ScatteringSpread(*np.radians(spread_deg))
         return correlation_matrices(*directions(angles), spread, beta, ArrayConfig(m_y=8), 8)
 
     def test_dense_bytes(self):
@@ -412,9 +412,25 @@ class TestLagCovariances:
         for lo, hi in ((0, 16), (16, 40), (33, 100), (5, 5)):
             assert np.array_equal(cov[lo:hi], dense[lo:hi])
 
-    @pytest.mark.parametrize("n", [0, 1, 3])
+    # on this 4x8 array at q = 8 an eigh call takes 4 users and a block of
+    # lag tables 32 (36 at zero spread, one node per axis); the counts cross
+    # both edges
+    @pytest.mark.parametrize("n", [0, 1, 3, 15, 16, 17, 31, 32, 33, 300])
     def test_few_users(self, n):
         cov = self.covariances(n)
+        assert cov.block == 32
+        self.check_draws(cov, n)
+
+    @pytest.mark.parametrize("n", [1, 35, 36, 37])
+    def test_zero_spread(self, n):
+        cov = self.covariances(n, spread_deg=(0.0, 0.0))
+        assert cov.block == 36
+        self.check_draws(cov, n)
+
+    @staticmethod
+    def check_draws(cov, n):
+        """Drawing from cov equals a per-user loop over its dense matrices,
+        bit for bit, and leaves the generator where the loop does."""
         assert cov.shape == np.asarray(cov).shape == (n, 32, 32)
         mean = np.full((n, 32), 0.5 - 0.25j)
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)

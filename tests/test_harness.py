@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 import hapsim.harness
-from hapsim.channel import (
-    LagCovariances, composite_steering, correlation_matrices, sample_channel,
-)
+from hapsim.channel import composite_steering, correlation_matrices, sample_channel
 from hapsim.config import ScenarioConfig
 from hapsim.geometry import AngularCoordinates
 from hapsim.harness import (
@@ -288,9 +286,9 @@ COLUMNS = [f.name for f in fields(TrialRecord) if not f.compare]
 
 
 def next_ulp(a, index):
-    """A copy of complex array a with the real part at index one ulp up."""
+    """A copy of array a with the real part at index one ulp up."""
     a = a.copy()
-    a[index] = complex(np.nextafter(a[index].real, np.inf), a[index].imag)
+    a.real[index] = np.nextafter(a.real[index], np.inf)
     return a
 
 
@@ -324,7 +322,7 @@ class TestDrawMemo:
             cfg.scattering_spread(), rng.uniform(0.5, 2.0, n), acfg,
             quadrature_points=4,
         )
-        m = cov.lag.shape[0]
+        m = acfg.m_total
         mean = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         return mean, cov
 
@@ -334,7 +332,9 @@ class TestDrawMemo:
         first = memo.draw(mean, cov, np.random.default_rng(1))
         # equal inputs in other arrays still hit
         again = memo.draw(
-            mean.copy(), LagCovariances(cov.table.copy(), cov.lag.copy()),
+            mean.copy(),
+            replace(cov, azimuth=cov.azimuth.copy(), elevation=cov.elevation.copy(),
+                    beta_nlos=cov.beta_nlos.copy()),
             np.random.default_rng(1),
         )
         assert len(draws) == 1
@@ -351,7 +351,9 @@ class TestDrawMemo:
         assert len(draws) == 1
         assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
 
-    @pytest.mark.parametrize("change", ["mean", "table", "lag", "generator"])
+    @pytest.mark.parametrize("change", [
+        "mean", "azimuth", "elevation", "beta_nlos", "quadrature_points", "generator",
+    ])
     def test_changed_input_draws_anew(self, draws, change):
         mean, cov = self.moments()
         memo = DrawMemo()
@@ -359,10 +361,10 @@ class TestDrawMemo:
         rng = np.random.default_rng(1)
         if change == "mean":
             mean = next_ulp(mean, (2, 5))
-        elif change == "table":
-            cov = LagCovariances(next_ulp(cov.table, (3, 7)), cov.lag)
-        elif change == "lag":  # each matrix transposed: still Hermitian PSD
-            cov = LagCovariances(cov.table, np.ascontiguousarray(cov.lag.T))
+        elif change == "quadrature_points":
+            cov = replace(cov, quadrature_points=cov.quadrature_points + 1)
+        elif change != "generator":  # one entry of a description array
+            cov = replace(cov, **{change: next_ulp(getattr(cov, change), 3)})
         else:
             rng.standard_normal()
         start = rng.bit_generator.state
@@ -416,6 +418,31 @@ class TestRunTrial:
         n, m = state.channels.shape
         assert n == 1200
         assert peak < n * m * m * 16
+
+    def test_memory_builds_lag_tables_per_block(self):
+        # 1200 disk drops at 10 MHz on a 4x4 array, 7 nodes per axis: all
+        # users' lag tables (n * 49 * 16 B) would take 0.94 MB. Built one
+        # block at a time, the peak holds (n, M) complex arrays of 307 KB:
+        # the steering rows and the channels throughout, with the LoS mean
+        # and the draw's buffers (at most 12 of 64 KiB: one block's tables
+        # and the temporaries that build them, the chunk being drawn, the
+        # last one, and an eigh call's eigenvectors)
+        # while drawing, or with the interference map's temporaries (the
+        # precoders, one group size's stacked precoders and gathered
+        # channels, at most three such arrays) after the mean is freed;
+        # plus 16 per-user floats of placement and fading.
+        cfg = ScenarioConfig(bandwidth=10e6, users_per_trial=1200)
+        prepare_trial(cfg, 42, 0)  # warm: imports and cached nodes
+        tracemalloc.start()
+        try:
+            state = prepare_trial(cfg, 42, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, m = state.channels.shape
+        assert n == 1200
+        rows = n * m * 16
+        assert peak < 2 * rows + max(rows + 12 * 64 * 1024, 3 * rows) + 16 * 8 * n
 
     def test_single_user_closed_form(self):
         cfg = fast_cfg(users_per_trial=1, p_max=100.0)
