@@ -119,16 +119,14 @@ def _power_ranking(cfg: ScenarioConfig, rows: Sequence[dict]) -> list[str]:
     return lines
 
 
-def _rate_deciles(cfg: ScenarioConfig, rows: Sequence[dict]) -> list[str]:
+def _rate_deciles(cfg: ScenarioConfig,
+                  samples: dict[tuple[int, int], np.ndarray]) -> list[str]:
     """Per-user rate deciles for each (r, L)."""
-    samples: dict[tuple[int, int], list[float]] = {}
-    for row in rows:
-        samples.setdefault((row["r"], row["L"]), []).append(row["rate_bps"])
     qs = np.arange(0.1, 1.0, 0.1)
     lines = [f"bandwidth {cfg.bandwidth / 1e6:g} MHz, {cfg.trials} trials, "
              "per-user rate deciles [Mbit/s]"]
     for (r, l_count), vals in sorted(samples.items()):
-        deciles = np.quantile(np.asarray(vals) / 1e6, qs)
+        deciles = np.quantile(vals / 1e6, qs)
         body = " ".join(f"{d:7.3f}" for d in deciles)
         lines.append(f"  r={r} L={l_count} n={len(vals):5d}  {body}")
     return lines
@@ -163,9 +161,9 @@ def main(argv: list[str] | None = None) -> int:
             summary = _power_ranking(cfg, rows)
         elif args.command == "sweep-rb":
             r_values = None if args.r is None else _parse_list(args.r, int, "--r")
-            rows = harness.sweep_rb(cfg, r_values, out_dir=out, workers=args.workers)
+            rates = harness.sweep_rb(cfg, r_values, out_dir=out, workers=args.workers)
             name = "sweep_rb"
-            summary = _rate_deciles(cfg, rows)
+            summary = _rate_deciles(cfg, rates)
         else:
             ids, matrix = harness.heatmap(cfg, out_dir=out)
             name = "heatmap"

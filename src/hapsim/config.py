@@ -88,7 +88,11 @@ class ScenarioConfig:
         return QoSSpec(r_min=self.r_min, delta_r=self.delta_r)
 
     def noise_w_per_hz(self) -> float:
-        return 10.0 ** ((self.noise_psd + self.noise_figure - 30.0) / 10.0)
+        """Noise density N0, W/Hz; inf where the float power overflows."""
+        try:
+            return 10.0 ** ((self.noise_psd + self.noise_figure - 30.0) / 10.0)
+        except OverflowError:
+            return math.inf
 
     def rho(self, p_max: float | None = None) -> float:
         """Per-block transmit SNR scale: p_max / (N0 * r * bw_rb).
@@ -134,14 +138,24 @@ class ScenarioConfig:
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0")
         if self.nbr is None:  # bw_rb > 0 by now
-            object.__setattr__(self, "nbr", {10e6: 50, 20e6: 100}.get(
-                self.bandwidth, int(self.bandwidth // self.bw_rb)))
+            blocks = {10e6: 50, 20e6: 100}.get(self.bandwidth) or self.bandwidth // self.bw_rb
+            if blocks == math.inf:
+                raise ConfigError(f"bw_rb {self.bw_rb!r} Hz divides bandwidth into inf blocks")
+            object.__setattr__(self, "nbr", int(blocks))
         if self.p_total is None:
             object.__setattr__(self, "p_total", self.p_max)
         for key in ("m_x", "m_y", "n_sectors", "r", "nbr", "trials",
                     "quadrature_points"):
             if int(getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        # each quantity rho divides by: its own error names the keys
+        noise = self.noise_w_per_hz()
+        if not 0.0 < noise < math.inf:
+            raise ConfigError(f"noise_psd + noise_figure give noise {noise!r} W/Hz; "
+                              "it must be finite and > 0")
+        if not 0.0 < noise * self.r * self.bw_rb < math.inf:
+            raise ConfigError(f"bw_rb {self.bw_rb!r} Hz gives block noise "
+                              f"{noise * self.r * self.bw_rb!r} W; it must be finite and > 0")
         self.rho()
         if self.p_total <= 0:
             raise ConfigError("p_total must be > 0")

@@ -5,17 +5,16 @@ default_rng(SeedSequence((seed, t))), results are used in task order, and
 floats are written as str() of Python floats, which equals their repr(), so
 reruns are byte-identical. Trial state up to the channel draw is independent
 of transmit power, so power sweeps build each trial once and re-solve only
-the power allocation per point. Disk drops feed every layout of one trial
-index equal draw inputs, so the sweeps run those layouts in one task that
-draws once through a DrawMemo; the covariances' lag tables are built only
-inside a draw, so the layouts that reuse it build none. Full-occupancy
-layouts never share a draw and run one task per (layout, trial). Per-user
-results stay arrays in user-id order until the CSV text is built from them.
+the power allocation per point. Layouts of one disk-drop trial index differ
+only in r, which sets the subsection grid and nothing the draw reads, so
+the sweeps run those layouts in one task that draws the channels for the
+first and hands them to the rest. Full-occupancy layouts differ in L, never
+share a draw and run one task per (layout, trial). Per-user results stay
+arrays in user-id order until the CSV text is built from them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -37,7 +36,6 @@ from .allocation import (
     scaled_min_power,
 )
 from .channel import (
-    LagCovariances,
     composite_steering,
     converged_nodes,
     correlation_matrices,
@@ -149,48 +147,6 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
 
-class DrawMemo:
-    """The last channel draw, reused while its inputs repeat.
-
-    The key is a sha256 over everything sample_channel reads: the mean's
-    bytes, the covariance description's direction and gain arrays, the
-    shapes and dtypes of all four, the description's spread, array and
-    node count, and the generator state. Equal keys mean a fresh draw would
-    give the same bits, so a hit returns the stored channels (shared by
-    every trial that gets them, which is why prepare_trial marks them
-    read-only) and moves the generator to where the draw left it; it
-    builds no covariance at all, since the description's lag tables are
-    built only inside a draw. A digest, not the inputs, is kept, so the
-    memo holds no copy of the 0.34 MB of inputs.
-    """
-
-    def __init__(self) -> None:
-        self._key: bytes | None = None
-        self._channels: np.ndarray | None = None
-        self._state: dict | None = None
-
-    def draw(
-        self, mean: np.ndarray, covariance: LagCovariances, rng: np.random.Generator
-    ) -> np.ndarray:
-        digest = hashlib.sha256(repr((
-            rng.bit_generator.state, covariance.spread, covariance.cfg,
-            covariance.quadrature_points,
-        )).encode())
-        for a in (mean, covariance.azimuth, covariance.elevation, covariance.beta_nlos):
-            digest.update(repr((a.shape, a.dtype.str)).encode())
-            digest.update(np.ascontiguousarray(a))
-        key = digest.digest()
-        if key == self._key:
-            rng.bit_generator.state = self._state
-            return self._channels
-        self._key = self._channels = self._state = None  # free before drawing
-        # looked up at call time, so a rebinding of the module name (a
-        # tracer's wrapper) sees every draw that runs
-        channels = sample_channel(mean, covariance, rng)
-        self._key, self._channels, self._state = key, channels, rng.bit_generator.state
-        return channels
-
-
 def _acos(x: np.ndarray) -> np.ndarray:
     """arccos entry by entry through the C library, as math.acos does;
     numpy's vectorized arccos can differ in the last bit."""
@@ -280,7 +236,7 @@ def place_and_cluster(
 
 
 def prepare_trial(
-    cfg: ScenarioConfig, master_seed: int, trial: int, draws: DrawMemo | None = None
+    cfg: ScenarioConfig, master_seed: int, trial: int, channels: np.ndarray | None = None
 ) -> TrialState:
     """Geometry, clustering, fading and channel draws for one trial.
 
@@ -288,9 +244,13 @@ def prepare_trial(
     a per-user loop (every user's fading, then every user's channel), so the
     random stream and every value match it bit for bit. One table of unit
     steering rows, in user-id order, is both the LoS direction and the
-    matched-beam precoder column of each user. Given a DrawMemo, the
-    channels come through it: a layout whose draw inputs equal the last
-    one's reuses its channels. The channels are read-only either way.
+    matched-beam precoder column of each user. The channels are read-only.
+
+    channels may be passed only when they are those prepare_trial returned
+    for another layout of the same disk-drop seed and trial: a config that
+    differs from this one only in r, with users_per_trial set. Such layouts
+    place the same users and would draw the same channels, so neither the
+    LoS mean nor the draw is built again.
     """
     served, unserved, rng = place_and_cluster(cfg, master_seed, trial)
     acfg = cfg.array_config()
@@ -298,23 +258,28 @@ def prepare_trial(
     angles = served.angles
     steering_rows = composite_steering(angles.mu_phi, angles.mu_h, acfg)
 
-    fading = large_scale_fading(
-        served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
+    try:
+        fading = large_scale_fading(
+            served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
+        )
+    except OverflowError:
+        fading = None
+    if fading is None or not np.all(fading.beta_los > 0.0):
+        raise ConfigError(
+            f"trial {trial}: carrier_freq, sigma_sf and nlos_penalty_db give a "
+            "link gain that overflows or underflows to 0"
+        )
+    # a description: the draw builds its lag tables one block of users at a
+    # time. Built even when channels are given, as perfbench predicts one
+    # per prepared trial; quadrature_points stays a keyword, which
+    # perfbench's traced correlation_matrices reads
+    covariance = correlation_matrices(
+        angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
+        quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
     )
-    # the covariances are a description: the draw builds their lag tables
-    # one block of users at a time, and a memo hit builds none, so the
-    # argument order costs no memory. quadrature_points stays a keyword,
-    # which perfbench's traced correlation_matrices reads
-    draw = sample_channel if draws is None else draws.draw
-    channels = draw(
-        los_channel(fading, steering_rows),
-        correlation_matrices(
-            angles.azimuth, angles.elevation, spread, fading.beta_nlos, acfg,
-            quadrature_points=converged_nodes(spread, acfg, cfg.quadrature_points),
-        ),
-        rng,
-    )
-    channels.flags.writeable = False
+    if channels is None:
+        channels = sample_channel(los_channel(fading, steering_rows), covariance, rng)
+        channels.flags.writeable = False
 
     groups = cluster_users(
         served.user_id, served.sector, served.section, served.subsection
@@ -424,9 +389,15 @@ def _layouts_task(
     score: Callable[[TrialState], object],
 ) -> list:
     """score(state) of each layout of one trial index. Each layout's state
-    is dropped before the next is prepared; only the draw memo carries over."""
-    draws = DrawMemo() if len(configs) > 1 else None
-    return [score(prepare_trial(cfg_r, seed, trial, draws)) for cfg_r in configs]
+    is dropped before the next is prepared; only the first layout's
+    channels carry over, so the layouts must be disk drops differing in r."""
+    scores, channels = [], None
+    for cfg_r in configs:
+        state = prepare_trial(cfg_r, seed, trial, channels)
+        channels = state.channels
+        scores.append(score(state))
+        del state
+    return scores
 
 
 def _map_layouts(
@@ -508,27 +479,32 @@ def sweep_rb(
     r_values: Sequence[int] | None = None,
     out_dir: str | Path | None = None,
     workers: int = 1,
-) -> list[dict[str, object]]:
-    """Per-user rate samples for each blocks-per-user choice (CDF data)."""
+) -> dict[tuple[int, int], np.ndarray]:
+    """Per-user rate samples for each blocks-per-user choice (CDF data):
+    one array per (r, L), trials in order, users in id order within each."""
     r_set = tuple(r_values) if r_values is not None else figure_r_values(cfg)
     configs = [replace(cfg, r=r) for r in r_set]
     records = _map_layouts(
         partial(evaluate_trial, p_max=cfg.p_max, p_total=cfg.p_total),
         cfg, configs, workers,
     )
-    rows: list[tuple] = []
-    for (cfg_r, t), rec in zip(product(configs, range(cfg.trials)), records):
-        rows.extend(zip(
-            repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
-            rec.users.tolist(), rec.rate_bps.tolist(),
-        ))
-    header = ["r", "L", "trial", "user", "rate_bps"]
     if out_dir is not None:
+        rows: list[tuple] = []
+        for (cfg_r, t), rec in zip(product(configs, range(cfg.trials)), records):
+            rows.extend(zip(
+                repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
+                rec.users.tolist(), rec.rate_bps.tolist(),
+            ))
         _write_outputs(
-            out_dir, "sweep_rb", cfg, header, rows,
+            out_dir, "sweep_rb", cfg, ["r", "L", "trial", "user", "rate_bps"], rows,
             extra=[("r_values", ",".join(str(r) for r in r_set))],
         )
-    return [dict(zip(header, row)) for row in rows]
+    n = cfg.trials
+    return {
+        (cfg_r.r, cfg_r.subsection_grid().l_count):
+            np.concatenate([rec.rate_bps for rec in records[i * n:(i + 1) * n]])
+        for i, cfg_r in enumerate(configs)
+    }
 
 
 def heatmap(

@@ -58,18 +58,28 @@ class TestListOptions:
 
 
 def test_floor_overflow_in_config_is_rejected(tmp_path, capsys):
-    # p_max = 1e-313 W passes the rho check, but rho * gain underflows
-    config = tmp_path / "tiny_power.cfg"
-    config.write_text(TINY.read_text() + "p_max = 1e-313\n")
-    out = tmp_path / "out"
-    with deadline(10.0):
-        code = cli.main(["run", "--config", str(config), "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: p_max 1e-313 W: ")
-    assert not out.exists()
+    # p_max = 1e-313 W passes the rho check, but rho * gain underflows. The
+    # other lines overflow the link gains, or underflow the LoS gains to 0
+    # (a 4000 dB shadowing spread overflows most draws)
+    gain = "error: trial 0: carrier_freq, sigma_sf and nlos_penalty_db give "
+    for line, error in [
+        ("p_max = 1e-313", "error: p_max 1e-313 W: "),
+        ("carrier_freq = 1e-300", gain),
+        ("nlos_penalty_db = -5000", gain),
+        ("sigma_sf = 4, 4000", gain),
+        ("carrier_freq = 1e300", gain),
+    ]:
+        config = tmp_path / "bad.cfg"
+        config.write_text(TINY.read_text() + line + "\n")
+        out = tmp_path / "out"
+        with deadline(10.0):
+            code = cli.main(["run", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error), line
+        assert not out.exists()
 
 
 class TestQuadratureCap:

@@ -104,6 +104,11 @@ class TestValidation:
         # bw_rb, which must be rejected first, not raise ZeroDivisionError
         error = cli_rejects(b"bandwidth = 1.8e6\nbw_rb = 0\n", tmp_path, capsys)
         assert error == "error: bw_rb must be > 0"
+        # a width so small that the block count overflows, or, at 10 MHz
+        # where nbr is not derived from it, the block's noise underflows
+        for bandwidth in ("1.8e6", "10e6"):
+            config = f"bandwidth = {bandwidth}\nbw_rb = 1e-320\n".encode()
+            assert "bw_rb 1e-320 Hz" in cli_rejects(config, tmp_path, capsys)
 
 
 class TestNonFinite:
@@ -161,7 +166,8 @@ def test_spread_past_the_sphere_is_rejected(key, tmp_path, capsys):
 
 class TestPowerRange:
     """A power whose rho over- or underflows is a ConfigError: before the
-    check, p_max = 1e308 made rho infinite and the greedy fill raised."""
+    check, p_max = 1e308 made rho infinite and the greedy fill raised. So
+    is a noise level that over- or underflows, which rho divides by."""
 
     @pytest.mark.parametrize("watts", [0.0, -1.0, 1e308, math.inf])
     def test_rho_must_be_finite_and_positive(self, watts):
@@ -172,6 +178,9 @@ class TestPowerRange:
     def test_huge_p_max(self, tmp_path, capsys):
         error = cli_rejects(b"bandwidth = 1.8e6\np_max = 1e308\n", tmp_path, capsys)
         assert "rho inf" in error
+        for line in ("noise_psd = 4000", "noise_figure = 4000", "noise_psd = -4000"):
+            error = cli_rejects(f"bandwidth = 1.8e6\n{line}\n".encode(), tmp_path, capsys)
+            assert error.startswith("error: noise_psd + noise_figure give noise ")
 
 
 class TestParse:

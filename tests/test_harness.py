@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import hapsim.harness
-from hapsim.channel import composite_steering, correlation_matrices, sample_channel
+from hapsim.channel import composite_steering
 from hapsim.config import ScenarioConfig
 from hapsim.geometry import AngularCoordinates
 from hapsim.harness import (
-    DrawMemo,
     TrialRecord,
+    _layouts_task,
     dbm_to_watts,
     evaluate_trial,
     figure_r_values,
@@ -104,13 +104,19 @@ class TestPlacement:
         b, _, _ = place_and_cluster(cfg, cfg.seed, 1)
         assert placement_rows(a) == placement_rows(b)
 
-    @pytest.mark.parametrize("seed, trial", [(42, 0), (7, 3)])
-    def test_disk_layouts_draw_one_scene(self, seed, trial):
+    @pytest.mark.parametrize("seed, trial, kw", [
+        (42, 0, {}),
+        (7, 3, {}),
+        (42, 0, dict(bandwidth=20e6)),
+        (7, 3, dict(m_x=8, m_y=8)),
+    ], ids=["42-0", "7-3", "20mhz-42-0", "8x8-7-3"])
+    def test_disk_layouts_draw_one_scene(self, seed, trial, kw):
         # locate's inside mask reads only the section grid, so disk drops
         # keep the same users, and so draw the same channels, whatever r
-        # sets L to
-        cfg = fast_cfg(bandwidth=10e6, users_per_trial=150, trials=1)
-        states = [prepare_trial(replace(cfg, r=r), seed, trial) for r in (1, 2, 3)]
+        # sets L to: the sweeps share one draw across these layouts
+        cfg = fast_cfg(**{"bandwidth": 10e6, "users_per_trial": 150, "trials": 1, **kw})
+        states = [prepare_trial(replace(cfg, r=r), seed, trial)
+                  for r in figure_r_values(cfg)]
         assert len({s.served.subsection.max() for s in states}) > 1  # the grids differ
         for state in states[1:]:
             assert np.array_equal(state.served.user_id, states[0].served.user_id)
@@ -285,107 +291,36 @@ class TestPlacementMatchesLoop:
 COLUMNS = [f.name for f in fields(TrialRecord) if not f.compare]
 
 
-def next_ulp(a, index):
-    """A copy of array a with the real part at index one ulp up."""
-    a = a.copy()
-    a.real[index] = np.nextafter(a.real[index], np.inf)
-    return a
-
-
-def generator_at(state):
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
-class TestDrawMemo:
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """The memo's draws, counted where it calls sample_channel."""
+class TestLayoutsTask:
+    def test_disk_layouts_share_one_read_only_draw(self, monkeypatch):
+        # three disk-drop layouts of one trial index: the first builds the
+        # LoS mean and draws, the others get its read-only channels, and
+        # every layout scores as it does prepared alone
         calls = []
+        for name in ("los_channel", "sample_channel"):
+            def counted(*args, _name=name, _fn=getattr(hapsim.harness, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append((args, kwargs))
-            return sample_channel(*args, **kwargs)
-
-        monkeypatch.setattr(hapsim.harness, "sample_channel", counted)
-        return calls
-
-    @staticmethod
-    def moments():
-        cfg = fast_cfg()
-        acfg = cfg.array_config()
-        rng = np.random.default_rng(3)
-        n = 5
-        cov = correlation_matrices(
-            rng.uniform(0.5, 2.5, n), rng.uniform(0.2, 1.2, n),
-            cfg.scattering_spread(), rng.uniform(0.5, 2.0, n), acfg,
-            quadrature_points=4,
-        )
-        m = acfg.m_total
-        mean = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        return mean, cov
-
-    def test_hit_returns_the_stored_draw(self, draws):
-        mean, cov = self.moments()
-        memo = DrawMemo()
-        first = memo.draw(mean, cov, np.random.default_rng(1))
-        # equal inputs in other arrays still hit
-        again = memo.draw(
-            mean.copy(),
-            replace(cov, azimuth=cov.azimuth.copy(), elevation=cov.elevation.copy(),
-                    beta_nlos=cov.beta_nlos.copy()),
-            np.random.default_rng(1),
-        )
-        assert len(draws) == 1
-        assert again is first
-        assert np.array_equal(first, sample_channel(mean, cov, np.random.default_rng(1)))
-
-    def test_hit_leaves_the_generator_where_a_draw_does(self, draws):
-        mean, cov = self.moments()
-        memo = DrawMemo()
-        memo.draw(mean, cov, np.random.default_rng(1))
-        rng, fresh = np.random.default_rng(1), np.random.default_rng(1)
-        memo.draw(mean, cov, rng)
-        sample_channel(mean, cov, fresh)
-        assert len(draws) == 1
-        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
-
-    @pytest.mark.parametrize("change", [
-        "mean", "azimuth", "elevation", "beta_nlos", "quadrature_points", "generator",
-    ])
-    def test_changed_input_draws_anew(self, draws, change):
-        mean, cov = self.moments()
-        memo = DrawMemo()
-        first = memo.draw(mean, cov, np.random.default_rng(1))
-        rng = np.random.default_rng(1)
-        if change == "mean":
-            mean = next_ulp(mean, (2, 5))
-        elif change == "quadrature_points":
-            cov = replace(cov, quadrature_points=cov.quadrature_points + 1)
-        elif change != "generator":  # one entry of a description array
-            cov = replace(cov, **{change: next_ulp(getattr(cov, change), 3)})
-        else:
-            rng.standard_normal()
-        start = rng.bit_generator.state
-        second = memo.draw(mean, cov, rng)
-        assert len(draws) == 2
-        assert second is not first
-        assert np.array_equal(second, sample_channel(mean, cov, generator_at(start)))
-
-    def test_trial_channels_are_read_only(self, draws):
+            monkeypatch.setattr(hapsim.harness, name, counted)
         cfg = fast_cfg(**DISK10)
-        assert not prepare_trial(cfg, cfg.seed, 0).channels.flags.writeable
-        # disk drops give r = 1 and 2 equal draw inputs: the second layout
-        # gets the first one's read-only array
-        memo = DrawMemo()
-        first, second = (
-            prepare_trial(cfg_r, cfg.seed, 0, memo).channels
-            for cfg_r in (replace(cfg, r=1), replace(cfg, r=2))
-        )
-        assert second is first
-        assert not first.flags.writeable
-        assert len(draws) == 2  # one without the memo, one through it
+        configs = [replace(cfg, r=r) for r in (1, 2, 3)]
+        channels = []
+
+        def score(state):
+            channels.append(state.channels)
+            return evaluate_trial(state, cfg.p_max, cfg.p_total)
+
+        records = _layouts_task(configs, cfg.seed, 0, score)
+        assert sorted(calls) == ["los_channel", "sample_channel"]
+        assert all(c is channels[0] for c in channels)
+        assert not channels[0].flags.writeable
+        for cfg_r, rec in zip(configs, records):
+            alone = run_trial(cfg_r, cfg.seed, 0)
+            assert not prepare_trial(cfg_r, cfg.seed, 0).channels.flags.writeable
+            assert rec == alone
+            for name in COLUMNS:
+                assert np.array_equal(getattr(rec, name), getattr(alone, name)), name
 
 
 class TestRunTrial:
@@ -622,14 +557,18 @@ class TestSweepPower:
 class TestSweepRb:
     def test_l_column(self, tmp_path):
         cfg = fast_cfg(trials=1)
-        rows = sweep_rb(cfg, [1, 2, 3], out_dir=tmp_path)
-        ls = {(row["r"], row["L"]) for row in rows}
-        assert ls == {(1, 49), (2, 25), (3, 16)}
+        rates = sweep_rb(cfg, [1, 2, 3], out_dir=tmp_path)
+        assert list(rates) == [(1, 49), (2, 25), (3, 16)]
+        rows = list(csv.DictReader((tmp_path / "sweep_rb.csv").open()))
+        for (r, l_count), samples in rates.items():
+            assert samples.tolist() == [
+                float(row["rate_bps"]) for row in rows
+                if (int(row["r"]), int(row["L"])) == (r, l_count)
+            ]
 
     def test_empty_r_list(self, tmp_path):
         cfg = fast_cfg(trials=1)
-        rows = sweep_rb(cfg, [], out_dir=tmp_path)
-        assert rows == []
+        assert sweep_rb(cfg, [], out_dir=tmp_path) == {}
         lines = (tmp_path / "sweep_rb.csv").read_text().splitlines()
         assert lines == ["r,L,trial,user,rate_bps"]
 
