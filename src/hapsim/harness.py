@@ -10,7 +10,8 @@ only in r, which sets the subsection grid and nothing the draw reads, so
 the sweeps run those layouts in one task that draws the channels for the
 first and hands them to the rest. Full-occupancy layouts differ in L, never
 share a draw and run one task per (layout, trial). Per-user results stay
-arrays in user-id order until the CSV text is built from them.
+arrays in user-id order; the CSV is written one row at a time from them,
+so no row list or CSV text is held in memory.
 """
 
 from __future__ import annotations
@@ -259,15 +260,20 @@ def prepare_trial(
     steering_rows = composite_steering(angles.mu_phi, angles.mu_h, acfg)
 
     try:
-        fading = large_scale_fading(
-            served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
-        )
+        # a path loss that overflows to inf gives a LoS gain of 0, rejected below
+        with np.errstate(over="ignore"):
+            fading = large_scale_fading(
+                served.distance, cfg.carrier_freq, cfg.sigma_sf, cfg.nlos_penalty_db, rng
+            )
     except OverflowError:
         fading = None
-    if fading is None or not np.all(fading.beta_los > 0.0):
+    if fading is None or not np.all(
+        (fading.beta_los > 0.0) & (fading.beta_los <= 1.0) & (fading.beta_nlos <= 1.0)
+    ):
         raise ConfigError(
             f"trial {trial}: carrier_freq, sigma_sf and nlos_penalty_db give a "
-            "link gain that overflows or underflows to 0"
+            "link gain that underflows to 0 or exceeds 0 dB (a passive link "
+            "cannot deliver more power than was sent)"
         )
     # a description: the draw builds its lag tables one block of users at a
     # time. Built even when channels are given, as perfbench predicts one
@@ -362,17 +368,15 @@ def run(cfg: ScenarioConfig, out_dir: str | Path | None = None,
             "omega", "sinr", "spectral_efficiency_bits_hz", "rate_bps",
             "sum_rate_bps", "qos_feasible", "unserved_users",
         ]
-        rows: list[tuple] = []
-        for rec in records:
-            rows.extend(zip(
-                repeat(rec.trial), rec.users.tolist(), rec.sector.tolist(),
-                rec.section.tolist(), rec.subsection.tolist(),
-                rec.time_share.tolist(), rec.omega.tolist(),
-                (np.exp2(rec.spectral_efficiency) - 1.0).tolist(),
-                rec.spectral_efficiency.tolist(), rec.rate_bps.tolist(),
-                repeat(rec.sum_rate_bps), repeat(rec.qos_feasible),
-                repeat(rec.unserved),
-            ))
+        rows = (row for rec in records for row in zip(
+            repeat(rec.trial), rec.users.tolist(), rec.sector.tolist(),
+            rec.section.tolist(), rec.subsection.tolist(),
+            rec.time_share.tolist(), rec.omega.tolist(),
+            (np.exp2(rec.spectral_efficiency) - 1.0).tolist(),
+            rec.spectral_efficiency.tolist(), rec.rate_bps.tolist(),
+            repeat(rec.sum_rate_bps), repeat(rec.qos_feasible),
+            repeat(rec.unserved),
+        ))
         _write_outputs(out_dir, "run", cfg, header, rows)
     return records
 
@@ -467,7 +471,7 @@ def sweep_power(
         header = ["p_max_dbm", "L", "r", "mean_sum_rate_bps", "stderr"]
         _write_outputs(
             out_dir, "sweep_power", cfg,
-            header, [[row[k] for k in header] for row in rows],
+            header, ([row[k] for k in header] for row in rows),
             extra=[("powers_dbm", ",".join(repr(p) for p in powers)),
                    ("r_values", ",".join(str(r) for r in r_values))],
         )
@@ -489,12 +493,14 @@ def sweep_rb(
         cfg, configs, workers,
     )
     if out_dir is not None:
-        rows: list[tuple] = []
-        for (cfg_r, t), rec in zip(product(configs, range(cfg.trials)), records):
-            rows.extend(zip(
+        rows = (
+            row
+            for (cfg_r, t), rec in zip(product(configs, range(cfg.trials)), records)
+            for row in zip(
                 repeat(cfg_r.r), repeat(cfg_r.subsection_grid().l_count), repeat(t),
                 rec.users.tolist(), rec.rate_bps.tolist(),
-            ))
+            )
+        )
         _write_outputs(
             out_dir, "sweep_rb", cfg, ["r", "L", "trial", "user", "rate_bps"], rows,
             extra=[("r_values", ",".join(str(r) for r in r_set))],
@@ -564,17 +570,10 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_meta(path: Path, cfg: ScenarioConfig,
-               extra: Sequence[tuple[str, str]] = ()) -> None:
-    lines = [f"{k} = {v}" for k, v in cfg.canonical_items()]
-    lines.extend(f"{k} = {v}" for k, v in extra)
-    lines.append(f"fingerprint = {cfg.fingerprint()}")
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header, then one line per row as rows are consumed."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_outputs(
@@ -584,11 +583,12 @@ def _write_outputs(
     header: Sequence[str],
     rows: Iterable[Sequence[object]],
     extra: Sequence[tuple[str, str]] = (),
-) -> tuple[Path, Path]:
+) -> None:
+    """<name>.csv, then meta.txt: the canonical config, the command, extra
+    and the config's fingerprint."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{name}.csv"
-    meta_path = out / "meta.txt"
-    write_csv(csv_path, header, rows)
-    write_meta(meta_path, cfg, extra=[("command", name), *extra])
-    return csv_path, meta_path
+    write_csv(out / f"{name}.csv", header, rows)
+    meta = [*cfg.canonical_items(), ("command", name), *extra,
+            ("fingerprint", cfg.fingerprint())]
+    (out / "meta.txt").write_text("".join(f"{k} = {v}\n" for k, v in meta))

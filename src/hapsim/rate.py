@@ -187,13 +187,9 @@ def evaluate_objective(
     rate_arr = im.time_share * blocks * bw_rb * se
     sum_rate = float(np.sum(rate_arr))
 
-    if n:
-        gain = allocator_gains[im.order]
-        model_margin = float(np.min(np.log2(1.0 + rho * omega * gain) - qos.r_min))
-        realized_margin = float(np.min(se - qos.r_min))
-    else:
-        model_margin = float("inf")
-        realized_margin = float("inf")
+    model_margin = float(np.min(
+        np.log2(1.0 + rho * power.omega * allocator_gains) - qos.r_min, initial=np.inf))
+    realized_margin = float(np.min(se - qos.r_min, initial=np.inf))
     scored = np.empty((2, n))  # back to user-id order
     scored[:, im.order] = (se, rate_arr)
     return RateReport(

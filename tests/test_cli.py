@@ -60,7 +60,9 @@ class TestListOptions:
 def test_floor_overflow_in_config_is_rejected(tmp_path, capsys):
     # p_max = 1e-313 W passes the rho check, but rho * gain underflows. The
     # other lines overflow the link gains, or underflow the LoS gains to 0
-    # (a 4000 dB shadowing spread overflows most draws)
+    # (a 4000 dB shadowing spread overflows most draws; at 1.7e308 Hz the
+    # path loss itself overflows), or raise a gain above 0 dB (a 300 dB
+    # NLoS spread does so on some draw)
     gain = "error: trial 0: carrier_freq, sigma_sf and nlos_penalty_db give "
     for line, error in [
         ("p_max = 1e-313", "error: p_max 1e-313 W: "),
@@ -68,6 +70,9 @@ def test_floor_overflow_in_config_is_rejected(tmp_path, capsys):
         ("nlos_penalty_db = -5000", gain),
         ("sigma_sf = 4, 4000", gain),
         ("carrier_freq = 1e300", gain),
+        ("carrier_freq = 1.7e308", gain),
+        ("nlos_penalty_db = -3000", gain),
+        ("sigma_sf = 4, 300", gain),
     ]:
         config = tmp_path / "bad.cfg"
         config.write_text(TINY.read_text() + line + "\n")

@@ -3,13 +3,14 @@ import math
 import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hapsim.harness
 from hapsim.channel import composite_steering
-from hapsim.config import ScenarioConfig
+from hapsim.config import ScenarioConfig, load_config
 from hapsim.geometry import AngularCoordinates
 from hapsim.harness import (
     TrialRecord,
@@ -571,6 +572,37 @@ class TestSweepRb:
         assert sweep_rb(cfg, [], out_dir=tmp_path) == {}
         lines = (tmp_path / "sweep_rb.csv").read_text().splitlines()
         assert lines == ["r,L,trial,user,rate_bps"]
+
+
+class TestOutputMemory:
+    # Rows stream from the records to the file, so past one trial's row
+    # lists the peak grows with the trial count only by what the entry
+    # point keeps: per user row, the record's eight 8-byte columns (64 B),
+    # plus 8 B of returned rate for sweep_rb; per trial, the record's
+    # object and dict (under 1 KiB), its column arrays' headers (about
+    # 9 x 130 B) and the task tuple and list slots around it, under 4 KiB.
+    PER_TRIAL = 4096
+
+    @pytest.mark.parametrize("entry, kept", [(run, 64), (sweep_rb, 64 + 8)],
+                             ids=["run", "sweep_rb"])
+    def test_growth_per_row(self, entry, kept, tmp_path):
+        cfg = load_config(Path(__file__).parent / "golden" / "tiny.cfg")
+        entry(replace(cfg, trials=1), out_dir=tmp_path)  # warm: imports, caches
+        measured = {}
+        for trials in (10, 40):
+            tracemalloc.start()
+            try:
+                entry(replace(cfg, trials=trials), out_dir=tmp_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            csv_lines = (tmp_path / f"{entry.__name__}.csv").read_text().count("\n")
+            measured[trials] = peak, csv_lines - 1
+        (peak_1, rows_1), (peak_4, rows_4) = measured[10], measured[40]
+        per_trial_rows = rows_1 / 10
+        assert per_trial_rows > 100
+        bound = kept + self.PER_TRIAL / per_trial_rows
+        assert (peak_4 - peak_1) / (rows_4 - rows_1) < bound
 
 
 def pairwise_defects(cfg, ids):
