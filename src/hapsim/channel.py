@@ -36,10 +36,6 @@ class LargeScaleFading:
     beta_los: float
     beta_nlos: float
 
-    def __post_init__(self):
-        if np.any(np.asarray(self.beta_los) < 0) or np.any(np.asarray(self.beta_nlos) < 0):
-            raise ValueError("power gains must be nonnegative")
-
 
 @dataclass(frozen=True)
 class ScatteringSpread:

@@ -96,13 +96,6 @@ def _parse_list(text: str, convert: Callable[[str], object], option: str) -> tup
     return values
 
 
-def _parse_powers(text: str) -> tuple[float, ...]:
-    powers = _parse_list(text, float, "--powers-dbm")
-    if not all(math.isfinite(p) for p in powers):
-        raise ConfigError(f"--powers-dbm must be finite, got {text!r}")
-    return powers
-
-
 def _power_ranking(cfg: ScenarioConfig, rows: Sequence[dict]) -> list[str]:
     """Layouts ranked by mean sum rate at each power."""
     by_power: dict[float, list[dict]] = {}
@@ -126,9 +119,10 @@ def _rate_deciles(cfg: ScenarioConfig,
     lines = [f"bandwidth {cfg.bandwidth / 1e6:g} MHz, {cfg.trials} trials, "
              "per-user rate deciles [Mbit/s]"]
     for (r, l_count), vals in sorted(samples.items()):
-        deciles = np.quantile(vals / 1e6, qs)
-        body = " ".join(f"{d:7.3f}" for d in deciles)
-        lines.append(f"  r={r} L={l_count} n={len(vals):5d}  {body}")
+        head = f"  r={r} L={l_count} n={len(vals):5d}"
+        if len(vals):  # no user served: no deciles
+            head += "  " + " ".join(f"{d:7.3f}" for d in np.quantile(vals / 1e6, qs))
+        lines.append(head)
     return lines
 
 
@@ -144,8 +138,20 @@ def _heatmap_defect(cfg: ScenarioConfig, ids: Sequence[int],
             f"mean off-diagonal orthogonality defect {off:.4f}"]
 
 
+def _attach_list_values(argv: Sequence[str]) -> list[str]:
+    """argv with each list option's value attached as --opt=value: argparse
+    before Python 3.13 takes a value such as -10,0 for an unknown flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--powers-dbm", "--r") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     out: Path = args.out
     summary: list[str] = []
     try:
@@ -155,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             name = "run"
         elif args.command == "sweep-power":
             powers = (DEFAULT_POWERS_DBM if args.powers_dbm is None
-                      else _parse_powers(args.powers_dbm))
+                      else _parse_list(args.powers_dbm, float, "--powers-dbm"))
             rows = harness.sweep_power(cfg, powers, out_dir=out, workers=args.workers)
             name = "sweep_power"
             summary = _power_ranking(cfg, rows)

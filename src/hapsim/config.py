@@ -1,6 +1,11 @@
 """Scenario configuration: one flat dataclass, a key=value file loader,
 and derived quantities shared by the experiment harness.
 
+Each input rule is stated once, by the object that holds the value: the
+config checks what only it can state (finiteness, nbr, noise and rho, and
+the keys it alone holds), builds the array, QoS spec and grids, which
+check their own fields, and reports their errors as its own.
+
 The file format is deliberately tiny: one `key = value` pair per line,
 `#` starts a comment, blank lines ignored. Unknown keys are an error so
 typos fail loudly instead of silently running the defaults.
@@ -15,14 +20,7 @@ from pathlib import Path
 
 from .allocation import QoSSpec
 from .channel import ScatteringSpread
-from .dofgrid import (
-    SectionGrid,
-    SubsectionGrid,
-    build_section_grid,
-    dof_azimuth,
-    dof_elevation,
-    subsections_per_section,
-)
+from .dofgrid import SectionGrid, SubsectionGrid, build_section_grid, subsections_per_section
 from .geometry import ArrayConfig
 
 
@@ -35,8 +33,11 @@ class ScenarioConfig:
     """Full description of one simulated deployment.
 
     Construction, dataclasses.replace included, derives the None-valued
-    fields (nbr from the system bandwidth, p_total from p_max) and validates.
-    users_per_trial None places one user in every grid cell.
+    fields (nbr from the system bandwidth, p_total from p_max), checks what
+    only the config can state, and builds the array, QoS spec and grids,
+    raising their ValueError as a ConfigError with the same text, so a bad
+    config fails before any trial runs. users_per_trial None places one
+    user in every grid cell.
     """
 
     coverage_radius: float = 100e3
@@ -69,14 +70,7 @@ class ScenarioConfig:
     # -- derived objects ----------------------------------------------------
 
     def array_config(self) -> ArrayConfig:
-        return ArrayConfig(
-            m_x=self.m_x,
-            m_y=self.m_y,
-            d_h=self.d_h,
-            d_v=self.d_v,
-            n_sectors=self.n_sectors,
-            carrier_freq=self.carrier_freq,
-        )
+        return ArrayConfig(**{f.name: getattr(self, f.name) for f in fields(ArrayConfig)})
 
     def scattering_spread(self) -> ScatteringSpread:
         return ScatteringSpread(
@@ -106,16 +100,8 @@ class ScenarioConfig:
             raise ConfigError(f"p_max {p!r} W gives rho {rho!r}; it must be finite and > 0")
         return rho
 
-    def dof(self) -> tuple[int, int]:
-        return (
-            dof_azimuth(self.m_x, self.n_sectors),
-            dof_elevation(self.m_y, self.coverage_radius, self.haps_altitude),
-        )
-
     def section_grid(self) -> SectionGrid:
-        return build_section_grid(
-            self.array_config(), self.coverage_radius, self.haps_altitude
-        )
+        return build_section_grid(self.array_config(), self.coverage_radius, self.haps_altitude)
 
     def subsection_grid(self) -> SubsectionGrid:
         return subsections_per_section(self.nbr, self.r, self.array_config())
@@ -130,11 +116,7 @@ class ScenarioConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        positive = (
-            "coverage_radius", "haps_altitude", "carrier_freq", "bandwidth",
-            "bw_rb", "p_max", "d_h", "d_v",
-        )
-        for key in positive:
+        for key in ("coverage_radius", "haps_altitude", "bandwidth", "bw_rb", "p_max"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0")
         if self.nbr is None:  # bw_rb > 0 by now
@@ -144,8 +126,7 @@ class ScenarioConfig:
             object.__setattr__(self, "nbr", int(blocks))
         if self.p_total is None:
             object.__setattr__(self, "p_total", self.p_max)
-        for key in ("m_x", "m_y", "n_sectors", "r", "nbr", "trials",
-                    "quadrature_points"):
+        for key in ("r", "nbr", "trials", "quadrature_points"):
             if int(getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         # each quantity rho divides by: its own error names the keys
@@ -161,10 +142,6 @@ class ScenarioConfig:
             raise ConfigError("p_total must be > 0")
         if self.users_per_trial is not None and self.users_per_trial < 0:
             raise ConfigError("users_per_trial must be >= 0")
-        if self.r_min < 0:
-            raise ConfigError("r_min must be >= 0")
-        if self.delta_r <= 0:
-            raise ConfigError("delta_r must be > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if len(self.sigma_sf) != 2 or any(s < 0 for s in self.sigma_sf):
@@ -173,20 +150,13 @@ class ScenarioConfig:
             raise ConfigError("spread_phi_deg must be in [0, 180], spread_theta_deg in [0, 90]")
         if self.nbr * self.bw_rb > self.bandwidth + self.bw_rb:
             raise ConfigError("nbr does not fit in bandwidth at bw_rb")
-        if self.r > self.nbr:
-            raise ConfigError("r cannot exceed nbr")
-        n_phi, n_theta = self.dof()
-        if n_phi < 1:
-            raise ConfigError(
-                f"m_x={self.m_x} with n_sectors={self.n_sectors} gives zero "
-                "azimuth resolution bins"
-            )
-        if n_theta < 1:
-            raise ConfigError(
-                f"m_y={self.m_y} with coverage_radius={self.coverage_radius} "
-                f"and haps_altitude={self.haps_altitude} gives zero elevation "
-                "resolution bins"
-            )
+        # the array, QoS spec and grids state their own rules
+        try:
+            self.qos()
+            self.section_grid()
+            self.subsection_grid()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # -- serialization --------------------------------------------------------
 

@@ -115,10 +115,12 @@ def build_section_grid(
     """
     n_phi = dof_azimuth(cfg.m_x, cfg.n_sectors)
     n_theta = dof_elevation(cfg.m_y, coverage_radius, altitude)
-    if n_phi < 1 or n_theta < 1:
-        raise ValueError(
-            f"array resolves no orthogonal directions (n_phi={n_phi}, n_theta={n_theta})"
-        )
+    if n_phi < 1:
+        raise ValueError(f"m_x={cfg.m_x} with n_sectors={cfg.n_sectors} gives zero "
+                         "azimuth resolution bins")
+    if n_theta < 1:
+        raise ValueError(f"m_y={cfg.m_y} with coverage_radius={coverage_radius} and "
+                         f"haps_altitude={altitude} gives zero elevation resolution bins")
     half = cfg.sector_width / 2.0
     d_edge = float(np.hypot(coverage_radius, altitude))
     sin_theta_min = altitude / d_edge

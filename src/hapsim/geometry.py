@@ -38,14 +38,12 @@ class ArrayConfig:
     carrier_freq: float = 2.5e9  # Hz
 
     def __post_init__(self):
-        if self.m_x < 1 or self.m_y < 1:
-            raise ValueError("array needs at least one element per axis")
-        if self.n_sectors < 1:
-            raise ValueError("n_sectors must be >= 1")
-        if self.d_h <= 0 or self.d_v <= 0:
-            raise ValueError("element spacings must be positive")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be positive")
+        for key in ("m_x", "m_y", "n_sectors"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("d_h", "d_v", "carrier_freq"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
 
     @property
     def wavelength(self) -> float:

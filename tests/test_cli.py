@@ -41,9 +41,12 @@ class TestListOptions:
             ["sweep-rb", "--r", "2,2"],
             ["run", "--workers", "0"],
             ["run", "--workers", "-3"],
+            ["sweep-rb", "--r", "-1,2"],
+            ["sweep-power", "--powers-dbm", "-4000,40"],
         ],
         ids=["powers-40,abc", "powers-comma", "powers-nan", "powers-inf",
-             "powers-repeat", "powers-4000", "powers--4000", "powers--3100", "r-0", "r-x", "r-repeat", "workers-0", "workers--3"],
+             "powers-repeat", "powers-4000", "powers--4000", "powers--3100", "r-0", "r-x", "r-repeat", "workers-0", "workers--3",
+             "r--1,2", "powers--4000,40"],
     )
     def test_rejected(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -154,6 +157,13 @@ def test_no_users_drawn(tmp_path, capsys):
         "spectral_efficiency_bits_hz,rate_bps,sum_rate_bps,qos_feasible,unserved_users\n")
     assert (out / "meta.txt").read_text().endswith(
         "users_per_trial = 0\ncommand = run\nfingerprint = a5dacf41076abfb4\n")
+    # the other commands run too; sweep-rb's summary line for a layout with
+    # no rate sample holds its count alone
+    for command in ("sweep-power", "sweep-rb", "heatmap"):
+        argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+        assert cli.main(argv) == 0, command
+        if command == "sweep-rb":
+            assert capsys.readouterr().out.splitlines()[-1] == "  r=2 L=4 n=    0"
 
 
 def run_cli(argv, out, capsys):
@@ -170,14 +180,16 @@ class TestSummaries:
         assert summary == []
 
     def test_sweep_power_ranking(self, tmp_path, capsys):
-        rows, summary = run_cli(
-            ["sweep-power", "--powers-dbm", "46,40"], tmp_path / "sp", capsys
-        )
-        assert summary[0] == "bandwidth 1.8 MHz, 2 trials per point"
-        assert [line.split()[0] for line in summary[1:]] == ["40.0", "46.0"]
-        for line, row in zip(summary[1:], rows):
-            mbps = float(row["mean_sum_rate_bps"]) / 1e6
-            assert f"(L={row['L']},r={row['r']}) {mbps:8.2f}" in line
+        # a list may start with a minus sign, as a separate argument too
+        for powers, order in [("46,40", ["40.0", "46.0"]), ("-10,0", ["-10.0", "0.0"])]:
+            rows, summary = run_cli(
+                ["sweep-power", "--powers-dbm", powers], tmp_path / powers, capsys
+            )
+            assert summary[0] == "bandwidth 1.8 MHz, 2 trials per point"
+            assert [line.split()[0] for line in summary[1:]] == order
+            for line, row in zip(summary[1:], rows):
+                mbps = float(row["mean_sum_rate_bps"]) / 1e6
+                assert f"(L={row['L']},r={row['r']}) {mbps:8.2f}" in line
 
     def test_sweep_rb_deciles(self, tmp_path, capsys):
         rows, summary = run_cli(["sweep-rb", "--r", "2,1"], tmp_path / "srb", capsys)

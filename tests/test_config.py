@@ -7,7 +7,9 @@ import pytest
 
 from conftest import deadline
 from hapsim import cli
+from hapsim.allocation import QoSSpec
 from hapsim.config import ConfigError, ScenarioConfig, load_config, parse_config
+from hapsim.geometry import ArrayConfig
 from hapsim.harness import place_and_cluster
 
 FLOAT_KEYS = (
@@ -76,6 +78,17 @@ class TestValidation:
             ScenarioConfig(m_x=0)
         with pytest.raises(ConfigError, match="bw_rb"):
             ScenarioConfig(bw_rb=-1.0)
+        # rules stated by the array, the QoS spec and the subsection grid
+        for key, value in [("m_y", 0), ("n_sectors", 0), ("d_v", 0.0),
+                           ("carrier_freq", -1.0), ("r_min", -1.0), ("delta_r", 0.0)]:
+            with pytest.raises(ConfigError, match=f"^{key} must be "):
+                ScenarioConfig(**{key: value})
+        with pytest.raises(ConfigError, match="r=51.*nbr=50"):
+            ScenarioConfig(bandwidth=10e6, r=51)
+        with pytest.raises(ValueError, match="^d_h must be > 0$"):
+            ArrayConfig(d_h=0)
+        with pytest.raises(ValueError, match="^delta_r must be > 0$"):
+            QoSSpec(delta_r=0)
 
     def test_zero_dof_rejected(self):
         # 4-element rows cannot resolve a 16-sector wedge
