@@ -1,8 +1,9 @@
 """User clustering, resource-block assignment, and QoS-constrained power fill.
 
 Users in the same subsection index l (across sections and sectors) form
-cluster l and share that cluster's r resource blocks; users in the very same
-grid cell additionally time-share their blocks in equal slots. Transmit power
+cluster l and share that cluster's r resource blocks, row l - 1 of the
+plan's (clusters, r) block table; users in the very same grid cell
+additionally time-share their blocks in equal slots. Transmit power
 is parametrized by per-user coefficients Omega with sum(Omega) * p_max bounded
 by p_total: first every user gets the minimum coefficient meeting the rate
 floor under an interference-free gain model, then the remaining budget is
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class QoSSpec:
             raise ValueError("r_min must be >= 0")
         if self.delta_r <= 0:
             raise ValueError("delta_r must be > 0")
+        for key in ("r_min", "delta_r"):  # the floors take 2^r_min, the fill 2^delta_r
+            if not getattr(self, key) < 1024:  # 2.0 ** 1024 overflows
+                raise ValueError(f"{key} must be < 1024, so that 2**{key} is finite")
+        if 2.0 ** self.delta_r == 1.0:
+            raise ValueError(f"delta_r = {self.delta_r!r} gives a greedy step 2**delta_r - 1 of 0")
 
 
 class Clustering(NamedTuple):
@@ -52,16 +58,16 @@ class Clustering(NamedTuple):
     order: np.ndarray   # positions by (sector, cluster, user id): evaluation order
     starts: np.ndarray  # (groups + 1,) bounds of the (sector, cluster) groups in order
     time_share: np.ndarray  # per position: 1 / users in its grid cell
-    cluster_ids: tuple[int, ...]  # subsection ids present, ascending
+    cluster_ids: np.ndarray  # subsection ids present, ascending
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourcePlan:
-    """Block indices per cluster; blocks are 0-based within 0..nbr-1."""
+    """Block table: row l - 1 holds cluster l's r blocks, 0-based within
+    0..nbr-1, for every l up to the largest cluster present."""
 
-    rb_per_user: int
-    cluster_blocks: Mapping[int, tuple[int, ...]]
-    reuse: bool  # some block serves more than one cluster
+    blocks: np.ndarray  # (clusters, r) int
+    reuse: bool  # some block serves more than one present cluster
 
 
 @dataclass(frozen=True)
@@ -101,27 +107,26 @@ def cluster_users(
         order=order,
         starts=np.append(np.flatnonzero(first), len(order)),
         time_share=1.0 / np.bincount(cell)[cell],
-        cluster_ids=tuple(np.flatnonzero(np.bincount(subsection)).tolist()),
+        cluster_ids=np.flatnonzero(np.bincount(subsection)),
     )
 
 
-def assign_resource_blocks(
-    cluster_ids: Sequence[int], nbr: int, r: int
-) -> ResourcePlan:
+def assign_resource_blocks(cluster_ids: np.ndarray, nbr: int, r: int) -> ResourcePlan:
     """Blocks {(l-1)*r .. l*r - 1} mod nbr for cluster l.
 
     Disjoint across clusters when L * r <= nbr; otherwise the modulo can
     wrap some blocks into a second cluster. The plan is flagged as reuse
-    when two of the given clusters hold a common block.
+    when two of the given (1-based, distinct) clusters hold a common block.
     """
     if nbr < 1:
         raise ValueError("nbr must be >= 1")
     if not 1 <= r <= nbr:
         raise ValueError(f"r={r} outside 1..nbr={nbr}")
-    blocks = {l: tuple(((l - 1) * r + k) % nbr for k in range(r)) for l in cluster_ids}
-    held = [b for held_by_l in blocks.values() for b in held_by_l]
-    reuse = len(set(held)) < len(held)  # one cluster's r <= nbr blocks are distinct
-    return ResourcePlan(rb_per_user=r, cluster_blocks=blocks, reuse=reuse)
+    clusters = int(np.max(cluster_ids, initial=0))
+    blocks = (np.arange(clusters)[:, None] * r + np.arange(r)) % nbr
+    # one cluster's r <= nbr blocks are distinct
+    held = np.bincount(blocks[cluster_ids - 1].ravel(), minlength=1)
+    return ResourcePlan(blocks=blocks, reuse=bool(held.max() > 1))
 
 
 def _floor_coefficients(gains: np.ndarray, rho: float, qos: QoSSpec) -> np.ndarray:
@@ -263,8 +268,8 @@ def fill_remaining_power(
 
     Should the stop fall beyond the built keys, the level doubles and the
     replay runs again. A NaN or infinite leftover raises ValueError, as do
-    steps or keys that are not finite and positive, where a heap loop
-    would grant forever.
+    keys that are not finite and positive, where a heap loop would grant
+    forever (QoSSpec keeps the step finite and positive).
     """
     omega = np.array(omega_min, dtype=float)
     start = omega.tolist()
@@ -279,7 +284,7 @@ def fill_remaining_power(
     growth = 2.0 ** qos.delta_r
     step = growth - 1.0
     key0 = (p_max * 2.0 ** qos.r_min) / (rho * gains)
-    if not step > 0.0 or not np.all((key0 > 0.0) & (key0 < math.inf)):
+    if not np.all((key0 > 0.0) & (key0 < math.inf)):
         raise ValueError("greedy steps need finite positive costs")
 
     level = _water_level(key0, p_rem) * growth

@@ -178,6 +178,10 @@ def main(argv: list[str] | None = None) -> int:
         # harness.sweep_rb validates each --r config before any trial runs
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # outputs are written only once every trial is scored
+        print(f"error: out of memory ({exc}); delta_r sizes the greedy power fill and "
+              "users_per_trial the user placement", file=sys.stderr)
+        return 2
     # every command but heatmap draws channels through the capped quadrature
     needed = converged_nodes(cfg.scattering_spread(), cfg.array_config(), math.inf)
     if args.command != "heatmap" and needed > cfg.quadrature_points:

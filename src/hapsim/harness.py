@@ -29,7 +29,6 @@ import numpy as np
 from .allocation import (
     PowerBudgetError,
     PowerRangeError,
-    ResourcePlan,
     assign_resource_blocks,
     cluster_users,
     fill_remaining_power,
@@ -111,7 +110,6 @@ class TrialState:
     # |mean^H v|^2 = beta_los, not on the realized fade
     gain: np.ndarray
     channels: np.ndarray  # (N, M), read-only: layouts may share one draw
-    plan: ResourcePlan
     unserved: int
     interference: InterferenceMap
     # the (user id, cell) records evaluate_objective takes, one tuple per
@@ -290,9 +288,9 @@ def prepare_trial(
     groups = cluster_users(
         served.user_id, served.sector, served.section, served.subsection
     )
-    plan = assign_resource_blocks(groups.cluster_ids, cfg.nbr, cfg.r)
     interference = build_interference_map(
-        groups, served.sector, served.section, served.subsection, channels, plan,
+        groups, served.sector, served.section, served.subsection, channels,
+        assign_resource_blocks(groups.cluster_ids, cfg.nbr, cfg.r),
         build_cluster_precoders(steering_rows, groups.order),
     )
     return TrialState(
@@ -302,7 +300,6 @@ def prepare_trial(
         time_share=groups.time_share,
         gain=fading.beta_los,
         channels=channels,
-        plan=plan,
         unserved=unserved,
         interference=interference,
         users=tuple(map(UserCell, served.user_id.tolist(), map(
@@ -327,7 +324,7 @@ def evaluate_trial(state: TrialState, p_max: float, p_total: float) -> TrialReco
     except PowerRangeError as exc:
         raise ConfigError(f"p_max {p_max!r} W: {exc}") from None
     report = evaluate_objective(
-        state.users, state.plan, power, qos, rho, cfg.bw_rb,
+        state.users, power, qos, rho, cfg.bw_rb,
         state.gain, state.interference,
     )
     return TrialRecord(

@@ -75,6 +75,7 @@ class InterferenceMap:
     order: np.ndarray        # (n,) each row's position in user-id order
     time_share: np.ndarray   # (n,)
     own_gain: np.ndarray     # (n,) |h_u^H p_u|^2
+    blocks: int              # r, the blocks every user holds
     terms: tuple[np.ndarray, np.ndarray, np.ndarray]  # target, interferer, gain
 
 
@@ -94,11 +95,12 @@ def build_interference_map(
     build_cluster_precoders'. A user's same-cluster interferers are the
     other members of its group outside its own cell. Under reuse, each of
     its blocks also collects the groups of the same sector whose cluster
-    holds that block.
+    holds that block in plan.blocks, which nothing else reads; a target's
+    terms come in evaluation order. The map records the block count r.
     """
     order, starts = groups.order, groups.starts
     sizes = np.diff(starts)
-    width = plan.rb_per_user + 1  # columns of the terms' (n, r + 1) table
+    width = plan.blocks.shape[1] + 1  # columns of the terms' (n, r + 1) table
     own_gain = np.empty(len(order))
     # (target, interferer, gain) pieces; the empty first one types a trial with no terms
     parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
@@ -116,40 +118,31 @@ def build_interference_map(
         parts.append((rows[g, a] * width, rows[g, b], proj[g, a, b]))
     if plan.reuse:
         first = order[starts[:-1]]  # each group's first member
-        group_sector = sector[first].tolist()
-        group_cluster = subsection[first].tolist()
-        holders: dict[tuple[int, int], list[int]] = {}
-        for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
-            for b in plan.cluster_blocks[l]:
-                holders.setdefault((s, b), []).append(g)
-        for g, (s, l) in enumerate(zip(group_sector, group_cluster)):
-            rows = np.arange(starts[g], starts[g + 1])
-            pair_gains: dict[int, np.ndarray] = {}  # by other group, once per pair
-            for pos, b in enumerate(plan.cluster_blocks[l]):
-                for o in holders[(s, b)]:
-                    if o == g:
-                        continue
-                    cols = np.arange(starts[o], starts[o + 1])
-                    if o not in pair_gains:
-                        pair_gains[o] = np.abs(
-                            channels[order[rows]].conj() @ precoders[cols].T
-                        ) ** 2
-                    parts.append((
-                        np.repeat(rows * width + 1 + pos, len(cols)),
-                        np.tile(cols, len(rows)),
-                        pair_gains[o].ravel(),
-                    ))
+        # per sector, shares[i, pos, j]: its group j holds group i's block at pos
+        for s in dict.fromkeys(sector[first].tolist()):
+            ids = np.flatnonzero(sector[first] == s)
+            held = plan.blocks[subsection[first[ids]] - 1]
+            shares = (held[:, :, None, None] == held).any(axis=3)
+            shares &= ~np.eye(len(ids), dtype=bool)[:, None, :]
+            for i, j in zip(*np.nonzero(shares.any(axis=1))):
+                rows = np.arange(starts[ids[i]], starts[ids[i] + 1])
+                cols = np.arange(starts[ids[j]], starts[ids[j] + 1])
+                # one gain per pair, at every position where j holds i's block
+                gain = np.abs(channels[order[rows]].conj() @ precoders[cols].T) ** 2
+                for pos in np.flatnonzero(shares[i, :, j]):
+                    parts.append((np.repeat(rows * width + 1 + pos, len(cols)),
+                                  np.tile(cols, len(rows)), gain.ravel()))
     return InterferenceMap(
         order=order,
         time_share=groups.time_share[order],
         own_gain=own_gain,
+        blocks=width - 1,
         terms=tuple(map(np.concatenate, zip(*parts))),
     )
 
 
 def evaluate_objective(
     users: Sequence[UserCell],
-    plan: ResourcePlan,
     power: PowerAllocation,
     qos: QoSSpec,
     rho: float,
@@ -163,10 +156,11 @@ def evaluate_objective(
     power.omega and allocator_gains are in user-id order. interference is
     build_interference_map's result for these users, built once per trial
     and reused at every power point. One bincount sums its terms' omega *
-    time_share-weighted gains into the (n, r + 1) table; block position
-    pos of a user then sees column 0 plus column 1 + pos, whatever rule
-    shared the blocks. A user's spectral efficiency is the mean of its
-    per-block log2(1 + sinr); the report's arrays are in user-id order.
+    time_share-weighted gains into the map's (n, r + 1) table; block
+    position pos of a user then sees column 0 plus column 1 + pos,
+    whatever rule shared the blocks. A user's spectral efficiency is the
+    mean of its per-block log2(1 + sinr); the report's arrays are in
+    user-id order.
     """
     im = interference
     n = len(im.order)
@@ -175,8 +169,7 @@ def evaluate_objective(
             f"interference map holds {n} users, trial has {len(users)}"
         )
     omega = power.omega[im.order]
-    # every cluster holds plan.rb_per_user blocks (assign_resource_blocks)
-    blocks = plan.rb_per_user
+    blocks = im.blocks
     target, interferer, term_gain = im.terms
     acc = np.bincount(
         target, weights=(omega * im.time_share)[interferer] * term_gain,

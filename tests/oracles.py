@@ -197,7 +197,7 @@ def interference_map_ref(users, plan, precoders):
     for key in keys:
         start[key] = len(order)
         order.extend(groups[key])
-    width = plan.rb_per_user + 1
+    width = plan.blocks.shape[1] + 1
     own_gain = np.empty(len(order))
     terms = {}
     for key in keys:
@@ -215,10 +215,10 @@ def interference_map_ref(users, plan, precoders):
     if plan.reuse:
         block_groups = {}
         for key in groups:
-            for b in plan.cluster_blocks[key[1]]:
+            for b in plan.blocks[key[1] - 1].tolist():
                 block_groups.setdefault((key[0], b), []).append(key)
         for key in keys:
-            for pos, b in enumerate(plan.cluster_blocks[key[1]]):
+            for pos, b in enumerate(plan.blocks[key[1] - 1].tolist()):
                 for a, i in enumerate(groups[key]):
                     h_conj = users[i].channel.conj()
                     for o in block_groups[(key[0], b)]:

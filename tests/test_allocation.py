@@ -52,19 +52,19 @@ class TestClusterUsers:
     def test_single_cluster_distinct_cells(self):
         located = [(i, cell(section=i + 1, subsection=3)) for i in range(4)]
         groups = clustered(located)
-        assert groups.cluster_ids == (3,)
+        assert groups.cluster_ids.tolist() == [3]
         assert groups.starts.tolist() == [0, 4]
         assert groups.time_share.tolist() == [1.0] * 4
 
     def test_colocated_users_split_time(self):
         located = [(7, cell()), (9, cell())]
         groups = clustered(located)
-        assert groups.cluster_ids == (1,)
+        assert groups.cluster_ids.tolist() == [1]
         assert by_id([7, 9], groups.time_share) == {7: 0.5, 9: 0.5}
 
     def test_empty(self):
         groups = clustered([])
-        assert groups.cluster_ids == ()
+        assert groups.cluster_ids.tolist() == []
         assert len(groups.order) == 0 and groups.starts.tolist() == [0]
 
     def test_idempotent_partition(self):
@@ -84,7 +84,7 @@ class TestClusterUsers:
 
         ordered = [located[i] for i in once.order.tolist()]
         assert partition(once, located) == partition(again, ordered)
-        assert once.cluster_ids == again.cluster_ids == (2, 5)
+        assert once.cluster_ids.tolist() == again.cluster_ids.tolist() == [2, 5]
         assert again.order.tolist() == [0, 1, 2, 3]
 
     @given(
@@ -108,13 +108,13 @@ class TestClusterUsers:
 class TestResourceBlocks:
     def test_first_cluster(self):
         plan = assign_resource_blocks(clustered([(0, cell(subsection=1))]).cluster_ids, 50, 2)
-        assert plan.cluster_blocks[1] == (0, 1)
+        assert plan.blocks.tolist() == [[0, 1]]
         assert not plan.reuse
 
     def test_full_grid_uses_all_blocks(self):
         located = [(l, cell(section=1, subsection=l)) for l in range(1, 26)]
         plan = assign_resource_blocks(clustered(located).cluster_ids, 50, 2)
-        used = sorted(b for blocks in plan.cluster_blocks.values() for b in blocks)
+        used = sorted(plan.blocks.ravel().tolist())
         assert used == list(range(50))
         assert not plan.reuse
 
@@ -122,14 +122,15 @@ class TestResourceBlocks:
         located = [(l, cell(section=1, subsection=l)) for l in range(1, 37)]
         plan = assign_resource_blocks(clustered(located).cluster_ids, 100, 3)
         assert plan.reuse
-        assert plan.cluster_blocks[34] == (99, 0, 1)
-        assert plan.cluster_blocks[36] == (5, 6, 7)
+        assert plan.blocks.shape == (36, 3)
+        assert plan.blocks[34 - 1].tolist() == [99, 0, 1]
+        assert plan.blocks[36 - 1].tolist() == [5, 6, 7]
 
     @pytest.mark.parametrize("cluster_ids", [(34,), (4, 34)])
     def test_wrap_without_a_shared_block_is_no_reuse(self, cluster_ids):
         # cluster 34 wraps onto blocks 0 and 1, which no given cluster holds
-        plan = assign_resource_blocks(cluster_ids, 100, 3)
-        assert plan.cluster_blocks[34] == (99, 0, 1)
+        plan = assign_resource_blocks(np.array(cluster_ids), 100, 3)
+        assert plan.blocks[34 - 1].tolist() == [99, 0, 1]
         assert not plan.reuse
 
     def test_bad_r(self):
@@ -407,10 +408,10 @@ class TestFillMatchesHeap:
             assert list(omega.items()) == list(reference_fill(*args).omega.items())
 
     def test_non_advancing_step_raises(self):
-        # 2^delta_r rounds to 1: every step is free and a heap loop never ends
-        qos = QoSSpec(r_min=1.0, delta_r=1e-18)
-        with deadline(5.0), pytest.raises(ValueError, match="finite positive"):
-            fill_remaining_power(np.array([0.1]), np.array([1.0]), 10.0, 1.0, 4.0, qos)
+        # 2^delta_r rounds to 1: every step would be free and a heap loop
+        # would never end, so no spec with such a step reaches the fill
+        with deadline(5.0), pytest.raises(ValueError, match="gives a greedy step"):
+            QoSSpec(r_min=1.0, delta_r=1e-18)
 
     def test_memory_follows_grants(self):
         # 1200 users at a 50 dBm budget: 32k grants, up to 111 for one

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import deadline
+from conftest import deadline, run_capped
 from hapsim import cli, harness
 
 TINY = Path(__file__).parent / "golden" / "tiny.cfg"
@@ -88,6 +88,42 @@ def test_floor_overflow_in_config_is_rejected(tmp_path, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(error), line
         assert not out.exists()
+
+
+class TestUnrunnableValidConfigs:
+    """Valid configs the program cannot run end as a bad key does: exit 2,
+    one error: line and no files. Each is tiny.cfg's keys at trials = 1 and
+    p_max = 100 W (50 dBm) plus one line, run in a child process capped at
+    3 GB of address space. The QoS lines give 2^r_min or a greedy step
+    2^delta_r - 1 that is not finite and positive; the others ask for more
+    memory than the cap, and the error line names the keys that size it."""
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("delta_r = 1e-17", "error: delta_r = 1e-17 gives a greedy step 2**delta_r - 1 of 0"),
+            ("delta_r = 2000", "error: delta_r must be < 1024"),
+            ("r_min = 2000", "error: r_min must be < 1024"),
+            # the fill's candidate keys: 3.17 EiB, and 32.7 GiB
+            ("delta_r = 1e-15", "error: out of memory"),
+            ("delta_r = 1e-7", "error: out of memory"),
+            # 22.4 GiB for the disk drop's first draw, refused at once
+            ("users_per_trial = 3000000000", "error: out of memory"),
+        ],
+    )
+    def test_one_error_line(self, line, error, tmp_path):
+        config = tmp_path / "case.cfg"
+        keys = TINY.read_text().replace("trials = 2\n", "trials = 1\n")
+        config.write_text(keys + "p_max = 100\n" + line + "\n")
+        out = tmp_path / "out"
+        code, stderr, files = run_capped(
+            ["run", "--config", str(config), "--out", str(out)], out
+        )
+        assert code == 2
+        assert len(stderr) == 1 and stderr[0].startswith(error), stderr
+        if error.endswith("out of memory"):
+            assert "delta_r" in stderr[0] and "users_per_trial" in stderr[0]
+        assert files == []
 
 
 class TestQuadratureCap:

@@ -25,6 +25,16 @@ np.bincount, with numpy's own sums for the sum rate and np.exp2 for the
 sinr column: each value moved by at most 1.4e-15 relative and a stderr
 by 3.4e-14; no heatmap CSV, meta.txt or non-float column moved.
 Refactors must not move a single output byte.
+
+The bytes hold on one kernel path only. Every golden was written and
+last checked on OpenBLAS core SkylakeX (scipy-openblas 0.3.31, built
+with DYNAMIC_ARCH) under numpy 2.4.6, whose SIMD dispatch reached
+AVX512_SPR (targets X86_V3, X86_V4, AVX512_ICL and AVX512_SPR found over
+an X86_V2 baseline), on Python 3.11. Another core or SIMD level rounds
+the covariance differently and moves every output that reads a channel
+draw, so a mismatch prints the running path next to the recorded one
+and the largest relative change per numeric CSV column.
+
 Regenerate them only for a deliberate output change, and say why in
 CHANGES.md:
 
@@ -57,13 +67,22 @@ CHANGES.md:
 """
 
 import argparse
+import csv
+import ctypes
+import io
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hapsim import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# (OpenBLAS core, numpy SIMD level) the goldens were written on
+RECORDED_KERNEL_PATH = ("SkylakeX", "AVX512_SPR")
 
 COMMANDS = {
     "run": ["run"],
@@ -106,4 +125,66 @@ def check_golden(config, name, tmp_path):
     argv = COMMANDS[name] + ["--config", str(cfg), "--out", str(out)]
     assert cli.main(argv) == 0
     for file in (f"{name}.csv", "meta.txt"):
-        assert (out / file).read_bytes() == (CONFIGS[config] / name / file).read_bytes(), file
+        got, want = (out / file).read_bytes(), (CONFIGS[config] / name / file).read_bytes()
+        assert got == want, mismatch_report(file, got, want)
+
+
+def kernel_path() -> tuple[str, str]:
+    """This process's OpenBLAS core and numpy's highest SIMD dispatch
+    target found on the CPU; "unknown" where the build does not say."""
+    core = simd = "unknown"
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                core = corename().decode()
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)][-1]
+    except (ImportError, IndexError):
+        pass
+    return core, simd
+
+
+def column_changes(got: bytes, want: bytes) -> str:
+    """Largest |got - want| / |want| per column whose values all read as
+    numbers, rows paired in order."""
+    new, old = (list(csv.reader(io.StringIO(b.decode()))) for b in (got, want))
+    if len(new) != len(old) or new[0] != old[0]:
+        return f"header or line count differs ({len(new)} lines, golden {len(old)})"
+    number = lambda v: float(re.sub(r"^np\.float64\((.*)\)$", r"\1", v))
+    changes = []
+    for k, column in enumerate(old[0]):
+        try:
+            pairs = [(number(a[k]), number(b[k])) for a, b in zip(new[1:], old[1:])]
+        except ValueError:  # True/False columns
+            continue
+        rel = [abs(a - b) / abs(b) if b else (0.0 if a == b else math.inf) for a, b in pairs]
+        changes.append(f"{column} {max(rel, default=0.0):.3g}")
+    return ", ".join(changes)
+
+
+def mismatch_report(file: str, got: bytes, want: bytes) -> str:
+    core, simd = kernel_path()
+    lines = [
+        f"{file} differs from its golden",
+        f"kernel path: OpenBLAS {core}, numpy SIMD {simd} running; "
+        f"OpenBLAS {RECORDED_KERNEL_PATH[0]}, numpy SIMD {RECORDED_KERNEL_PATH[1]} recorded",
+    ]
+    if file.endswith(".csv"):
+        lines.append("largest relative change per column: " + column_changes(got, want))
+    return "\n".join(lines)
+
+
+def test_mismatch_report():
+    # what a failing golden prints: both kernel paths and per-column changes
+    want = b"trial,omega,sinr,qos_feasible\n0,np.float64(0.5),2.0,True\n1,0.25,0.0,False\n"
+    got = b"trial,omega,sinr,qos_feasible\n0,np.float64(0.5),2.0002,True\n1,0.5,0.0,False\n"
+    report = mismatch_report("run.csv", got, want).splitlines()
+    assert report[0] == "run.csv differs from its golden"
+    assert report[1].endswith("OpenBLAS SkylakeX, numpy SIMD AVX512_SPR recorded")
+    assert report[2] == (
+        "largest relative change per column: trial 0, omega 1, sinr 0.0001"
+    )
+    assert column_changes(want + b"2,1,1,True\n", want).startswith("header or line count")

@@ -82,7 +82,7 @@ def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
     keyed by user id; allocator gains default to the realized own-beam
     gains |h^H p|^2. The users' declared time shares replace the ones
     their cells give, so a lone user can hold part of its slot."""
-    u, _groups, _plan, im = array_trial(users, NBR, plan.rb_per_user, CFG)
+    u, _groups, _plan, im = array_trial(users, NBR, plan.blocks.shape[1], CFG)
     share = {v.user_id: v.time_share for v in users}
     im = replace(im, time_share=np.array([share[uid] for uid in u.user_id.tolist()])[im.order])
     if gains is None:
@@ -90,7 +90,7 @@ def objective(users, plan, power, qos, rho, bw_rb=180e3, gains=None):
         gains[im.order] = im.own_gain
     else:
         gains = np.array([gains[uid] for uid in u.user_id.tolist()])
-    report = evaluate_objective(cells(u), plan, power, qos, rho, bw_rb, gains, im)
+    report = evaluate_objective(cells(u), power, qos, rho, bw_rb, gains, im)
     return by_user(report, u.user_id.tolist())
 
 
@@ -309,7 +309,7 @@ class TestEvaluateObjective:
         power = alloc({0: 0.5}, p_max=1.0, p_total=1.0)
         with pytest.raises(ValueError, match="interference map"):
             evaluate_objective(
-                users[:1], plan, power, QoSSpec(r_min=0.0), 1.0, 180e3,
+                users[:1], power, QoSSpec(r_min=0.0), 1.0, 180e3,
                 np.array([1.0]), im,
             )
 
@@ -328,7 +328,7 @@ def reference_objective(users, plan, omega, rho, bw_rb, cfg):
     block_groups = {}
     if plan.reuse:
         for key in groups:
-            for b in plan.cluster_blocks[key[1]]:
+            for b in plan.blocks[key[1] - 1].tolist():
                 block_groups.setdefault((key[0], b), []).append(key)
     rates, ses = {}, {}
     for key in sorted(groups):
@@ -336,7 +336,7 @@ def reference_objective(users, plan, omega, rho, bw_rb, cfg):
         prec = precoders[key]
         proj = np.abs(np.stack([u.channel for u in members]).conj() @ prec) ** 2
         omega_eff = np.array([omega[u.user_id] * u.time_share for u in members])
-        blocks = plan.cluster_blocks[key[1]]
+        blocks = plan.blocks[key[1] - 1].tolist()
         for a, u in enumerate(members):
             own = float(proj[a, a]) * omega[u.user_id]
             mask = np.array([(v.cell != u.cell) and (b != a) for b, v in enumerate(members)])
@@ -396,10 +396,11 @@ class TestInterferenceMapMatchesLoop:
         cfg = ScenarioConfig(quadrature_points=4, seed=3, **kw)
         state = prepare_trial(cfg, cfg.seed, 0)
         users = trial_users(state)
-        assert state.plan.reuse == reuse
+        plan = plan_for(users, cfg.r, cfg.nbr)
+        assert plan.reuse == reuse
         assert any(u.time_share < 1.0 for u in users) == shared
         assert_map_equals_oracle(
-            state.served.user_id, state.interference, users, state.plan, cfg.array_config()
+            state.served.user_id, state.interference, users, plan, cfg.array_config()
         )
         rng = np.random.default_rng(4)
         omega = {u.user_id: float(w) for u, w in
@@ -407,12 +408,12 @@ class TestInterferenceMapMatchesLoop:
         power = alloc(omega, p_max=1.0, p_total=1.0)
         rho = cfg.rho()
         report = evaluate_objective(
-            state.users, state.plan, power, QoSSpec(), rho, cfg.bw_rb,
+            state.users, power, QoSSpec(), rho, cfg.bw_rb,
             state.gain, state.interference,
         )
         report = by_user(report, state.served.user_id.tolist())
         assert_report_matches_loop(report, *reference_objective(
-            users, state.plan, omega, rho, cfg.bw_rb, cfg.array_config()
+            users, plan, omega, rho, cfg.bw_rb, cfg.array_config()
         ))
 
 
@@ -426,10 +427,10 @@ def assert_equals_oracles(user_id, time_share, plan, nbr, im, users, cfg):
     clusters = cluster_users_ref([(u.user_id, u.cell) for u in users])
     shares = {uid: ts for cl in clusters for uid, ts in cl.time_shares.items()}
     plan_ref = assign_resource_blocks(
-        [cl.subsection_id for cl in clusters], nbr, plan.rb_per_user
+        np.array([cl.subsection_id for cl in clusters], dtype=int), nbr, plan.blocks.shape[1]
     )
     assert time_share.tolist() == [shares[uid] for uid in user_id.tolist()]
-    assert plan == plan_ref
+    assert np.array_equal(plan.blocks, plan_ref.blocks) and plan.reuse == plan_ref.reuse
     users = [replace(u, time_share=shares[u.user_id]) for u in users]
     return assert_map_equals_oracle(user_id, im, users, plan_ref, cfg)
 
@@ -493,10 +494,11 @@ class TestArrayTrialMatchesOracles:
         cfg = ScenarioConfig(**{**base, **kw})
         for trial in range(2):
             state = prepare_trial(cfg, cfg.seed, trial)
-            assert state.plan.reuse == reuse
+            plan = plan_for(trial_users(state), cfg.r, cfg.nbr)
+            assert plan.reuse == reuse
             assert bool(np.any(state.time_share < 1.0)) == shared
             assert_equals_oracles(
-                state.served.user_id, state.time_share, state.plan, cfg.nbr,
+                state.served.user_id, state.time_share, plan, cfg.nbr,
                 state.interference, trial_users(state), cfg.array_config(),
             )
 
@@ -531,7 +533,7 @@ class TestArrayTrialMatchesOracles:
 
     def test_empty_users(self):
         u, groups, plan, im = array_trial([], 50, 1, CFG)
-        assert len(im.order) == 0 and plan.cluster_blocks == {}
+        assert len(im.order) == 0 and plan.blocks.shape == (0, 1)
         assert_equals_oracles(u.user_id, groups.time_share, plan, 50, im, [], CFG)
 
 
@@ -540,14 +542,15 @@ class TestScoringIgnoresBlockRule:
     blocks by any rule scores as the per-block loop does."""
 
     def test_hand_built_sharing(self):
-        # 5 clusters x 2 blocks onto 5 blocks, not (l - 1) * r mod nbr:
-        # block 0 has three holders, and cell (1, 1, 3) time-shares
+        # 6 clusters x 2 blocks onto 5 blocks, not (l - 1) * r mod nbr:
+        # blocks 0, 2 and 3 have three holders, clusters 2 and 6 share
+        # both of their blocks at swapped positions, and cell (1, 1, 3)
+        # time-shares
         plan = ResourcePlan(
-            rb_per_user=2, reuse=True,
-            cluster_blocks={1: (0, 1), 2: (2, 3), 3: (1, 4), 4: (3, 0), 5: (2, 0)},
+            blocks=np.array([[0, 1], [2, 3], [1, 4], [3, 0], [2, 0], [3, 2]]), reuse=True,
         )
         rng = np.random.default_rng(21)
-        keys = [(s, sec, l) for s in (1, 2) for sec in (1, 2) for l in range(1, 6)]
+        keys = [(s, sec, l) for s in (1, 2) for sec in (1, 2) for l in range(1, 7)]
         grid = [GridCell(*k) for k in keys] + [GridCell(1, 1, 3)] * 2
         users = sorted((
             served(int(uid), c, mu_only(*rng.uniform(-0.5, 0.5, 2)), h)
@@ -555,7 +558,8 @@ class TestScoringIgnoresBlockRule:
         ), key=lambda v: v.user_id)
         u = user_arrays(users)
         groups = cluster_users(u.user_id, u.sector, u.section, u.subsection)
-        assert plan != assign_resource_blocks(groups.cluster_ids, 5, 2)
+        modulo = assign_resource_blocks(groups.cluster_ids, 5, 2)
+        assert not np.array_equal(plan.blocks, modulo.blocks)
         assert groups.time_share.min() < 1.0
         im = build_interference_map(
             groups, u.sector, u.section, u.subsection, u.channels, plan,
@@ -564,11 +568,19 @@ class TestScoringIgnoresBlockRule:
         users = [replace(v, time_share=ts) for v, ts in zip(users, groups.time_share.tolist())]
         ref = assert_map_equals_oracle(u.user_id, im, users, plan, CFG)
         assert max(len(entries) for entries in ref.terms.values()) == 2
+        # a user of cluster 2 or 6 sees the other cluster's group on both
+        # block positions, through one pair gain
+        got = expand_terms(im)
+        both = [(t, row) for t in got if t % 3 == 1 and t + 1 in got
+                for row in got[t].keys() & got[t + 1].keys()]
+        # per sector, 4 users of clusters 2 and 6 with 2 interferers each
+        assert len(both) == 2 * 4 * 2
+        assert all(got[t][row] == got[t + 1][row] for t, row in both)
 
         omega = {v.user_id: float(w) for v, w in
                  zip(users, rng.uniform(1e-4, 1e-2, len(users)))}
         report = evaluate_objective(
-            cells(u), plan, alloc(omega, 1.0, 1.0), QoSSpec(), 300.0, 180e3,
+            cells(u), alloc(omega, 1.0, 1.0), QoSSpec(), 300.0, 180e3,
             np.ones(len(users)), im,
         )
         assert_report_matches_loop(
