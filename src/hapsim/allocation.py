@@ -8,6 +8,9 @@ is parametrized by per-user coefficients Omega with sum(Omega) * p_max bounded
 by p_total: first every user gets the minimum coefficient meeting the rate
 floor under an interference-free gain model, then the remaining budget is
 handed out greedily in fixed spectral-efficiency steps, cheapest user first.
+The fill replays those steps one window of candidate costs at a time, so
+its memory does not grow with the grant count, and refuses a fill whose
+estimated step count passes 2^30, since its time still grows with it.
 """
 
 from __future__ import annotations
@@ -204,31 +207,10 @@ def _water_level(key0: np.ndarray, p_rem: float) -> float:
     return (p_rem + float(acc[active - 1])) / active
 
 
-# keys per block of _key_bands: bounds the fill's temporaries (about
-# 20 bytes per entry) apart from its flat arrays of candidate keys
-_BAND_ENTRIES = 1 << 13
-
-
-def _key_bands(key0: np.ndarray, counts: np.ndarray, growth: float):
-    """Yield (rows, keys, valid) for blocks of users whose step counts
-    share a bit length, so a block pads its rows to under twice their
-    length.
-
-    keys[i, k] is user rows[i]'s key after k grants, by repeated
-    multiplication exactly as a per-user loop computes it; valid marks
-    k < counts[rows[i]].
-    """
-    bits = np.frexp(counts)[1]  # counts in [2^(bits-1), 2^bits)
-    for b in np.flatnonzero(np.bincount(bits)):
-        band = np.flatnonzero(bits == b)
-        width = int(counts[band].max())
-        per_block = max(1, _BAND_ENTRIES // width)
-        for lo in range(0, len(band), per_block):
-            rows = band[lo:lo + per_block]
-            keys = np.full((len(rows), width), growth)
-            keys[:, 0] = key0[rows]
-            np.multiply.accumulate(keys, axis=1, out=keys)
-            yield rows, keys, np.arange(width) < counts[rows][:, None]
+# candidate keys per window of the fill, about 50 bytes each with their
+# leftovers and omega sums: the fill's memory does not follow its grants
+_WINDOW_KEYS = 1 << 13
+_MAX_STEPS = 1 << 30  # most greedy steps a fill takes: about a minute of work
 
 
 def fill_remaining_power(
@@ -248,28 +230,30 @@ def fill_remaining_power(
     which is user-id order) until the leftover no longer covers it; that
     user then absorbs the leftover as a partial grant. A user's keys only
     grow, so the grants come in ascending (key, position) order over all
-    (user, step) pairs,
-    and the fill replays that order in closed form, bit for bit equal to
-    a heap loop (tests/test_allocation.py keeps that loop as the oracle):
+    (user, step) pairs, and the fill replays that order in windows of
+    about _WINDOW_KEYS keys, bit for bit equal to a heap loop
+    (tests/test_allocation.py keeps that loop as the oracle):
 
-    * each user's keys come from multiply.accumulate over [key0, g, g, ...],
-      which is sequential and so equals repeated multiplication; only
-      steps below a water level on the leftover (plus a guard step) are
-      built, so memory follows the number of grants;
-    * the leftover before each candidate is a sequential add.accumulate of
-      [p_rem, -delta_0, -delta_1, ...] over the sorted keys (tied keys cost
-      the same, so their order does not move it), and the stop is the
-      first candidate whose step exceeds it, found by bisection since the
-      steps grow and the leftover shrinks;
-    * each user's omega adds its granted steps in order, again by a
-      sequential add.accumulate; tied keys at the stop are granted in
-      position order, and the next user in that order takes the partial
-      grant.
+    * a window takes the users whose next key is within
+      growth^(_WINDOW_KEYS // n) of the lowest, builds their next keys by
+      a multiply.accumulate over [key, g, g, ...], which is sequential and
+      so equals repeated multiplication, and keeps those below the
+      smallest key it did not build;
+    * the leftover before each kept key is a sequential add.accumulate
+      of [leftover, -delta_0, -delta_1, ...] over the sorted keys (tied
+      keys cost the same, so their order does not move it), and the stop
+      is the first key whose step exceeds it;
+    * each user's omega adds its granted steps by a sequential
+      add.accumulate; next keys, omega and the leftover carry over to the
+      next window;
+    * in the stop's window, tied keys at the stop are granted in position
+      order, and the next user in that order takes the partial grant.
 
-    Should the stop fall beyond the built keys, the level doubles and the
-    replay runs again. A NaN or infinite leftover raises ValueError, as do
-    keys that are not finite and positive, where a heap loop would grant
-    forever (QoSSpec keeps the step finite and positive).
+    The water level on the leftover estimates the step count, and a fill
+    of more than _MAX_STEPS steps raises PowerRangeError before it builds
+    a key. A NaN or infinite leftover raises ValueError, as do keys that
+    are not finite and positive, where a heap loop would grant forever
+    (QoSSpec keeps the step finite and positive).
     """
     omega = np.array(omega_min, dtype=float)
     start = omega.tolist()
@@ -283,62 +267,47 @@ def fill_remaining_power(
         return PowerAllocation(omega=omega, p_max=p_max, p_total=p_total)
     growth = 2.0 ** qos.delta_r
     step = growth - 1.0
-    key0 = (p_max * 2.0 ** qos.r_min) / (rho * gains)
-    if not np.all((key0 > 0.0) & (key0 < math.inf)):
+    nxt = (p_max * 2.0 ** qos.r_min) / (rho * gains)  # each user's next key
+    if not np.all((nxt > 0.0) & (nxt < math.inf)):
         raise ValueError("greedy steps need finite positive costs")
+    climb = np.maximum(math.log(_water_level(nxt, p_rem)) - np.log(nxt), 0.0)
+    steps = float(climb.sum()) / math.log1p(step)
+    if steps > _MAX_STEPS:
+        raise PowerRangeError(
+            f"delta_r = {qos.delta_r!r} needs about {steps:.3g} greedy power steps; "
+            f"the fill takes at most {_MAX_STEPS}"
+        )
 
-    level = _water_level(key0, p_rem) * growth
-    while True:
-        # steps up to the level, one guard step, and every user's first
-        with np.errstate(divide="ignore"):
-            counts = np.floor(np.log(level / key0) / math.log(growth)) + 2.0
-        counts = np.maximum(counts, 1.0).astype(np.int64)
-        keys = np.empty(int(counts.sum()))
-        covered = math.inf  # every key up to this one is in keys
-        filled = 0
-        for rows, band, valid in _key_bands(key0, counts, growth):
-            last = band[np.arange(len(rows)), counts[rows] - 1]
-            covered = min(covered, float(last.min()))
-            taken = band[valid]
-            keys[filled:filled + len(taken)] = taken
-            filled += len(taken)
-        keys.sort()
-        rem = np.empty(len(keys) + 1)  # leftover before each candidate
-        rem[0] = p_rem
-        np.multiply(keys, -step, out=rem[1:])
-        np.add.accumulate(rem, out=rem)
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if step * keys[mid] > rem[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo < len(keys) and keys[lo] <= covered:
-            break
-        level *= 2.0
-    stop_key = keys[lo]
-    left = float(rem[lo])
-    tied_granted = lo - int(np.searchsorted(keys, stop_key, side="left"))
-    del keys, rem
-
-    granted = np.empty(n)  # omega after the steps below the stop key
-    granted_tie = np.empty(n)  # ... and after a step at the stop key
-    tied = np.zeros(n, dtype=bool)
-    for rows, band, valid in _key_bands(key0, counts, growth):
-        below = ((band < stop_key) & valid).sum(axis=1)
-        tied[rows] = ((band == stop_key) & valid).any(axis=1)
-        acc = np.empty((len(rows), band.shape[1] + 1))
-        acc[:, 0] = omega[rows]
-        np.multiply(band, step, out=acc[:, 1:])
-        acc[:, 1:] /= p_max
-        np.add.accumulate(acc, axis=1, out=acc)
-        at = np.arange(len(rows))
-        granted[rows] = acc[at, below]
-        granted_tie[rows] = acc[at, np.minimum(below + 1, band.shape[1])]
-    tie_rows = np.flatnonzero(tied)
+    reach = max(1, _WINDOW_KEYS // n)  # steps per user and window
+    with np.errstate(over="ignore"):
+        span = np.float64(growth) ** reach
+        while True:
+            lo = nxt.min()
+            rows = np.flatnonzero(nxt <= lo * span)
+            keys = np.full((len(rows), reach + 2), growth)  # the last column is a guard
+            keys[:, 0] = nxt[rows]
+            np.multiply.accumulate(keys, axis=1, out=keys)
+            nxt[rows] = math.inf
+            bound = min(keys[:, -1].min(), nxt.min())  # smallest key not built
+            # bound is lo only once every key left is inf
+            cand = np.sort(keys[keys < bound] if bound > lo else keys[keys == lo])
+            rem = np.concatenate(([p_rem], cand * -step))  # leftover before each key
+            np.add.accumulate(rem, out=rem)
+            over = np.flatnonzero(step * cand > rem[:-1])
+            below = (keys < (cand[over[0]] if len(over) else bound)).sum(axis=1)
+            acc = np.concatenate((omega[rows, None], keys * step / p_max), axis=1)
+            np.add.accumulate(acc, axis=1, out=acc)  # omega after each step
+            at = np.arange(len(rows))
+            omega[rows] = acc[at, below]
+            if len(over):
+                break
+            nxt[rows] = keys[at, below]
+            p_rem = rem[-1]
+    stop = over[0]
+    tie_rows = np.flatnonzero((keys == cand[stop]).any(axis=1))
+    tied_granted = stop - int(np.searchsorted(cand, cand[stop], side="left"))
     first = tie_rows[:tied_granted]
-    granted[first] = granted_tie[first]
-    if left > 0:
-        granted[tie_rows[tied_granted]] += left / p_max  # final partial grant
-    return PowerAllocation(omega=granted, p_max=p_max, p_total=p_total)
+    omega[rows[first]] = acc[first, below[first] + 1]
+    if rem[stop] > 0:
+        omega[rows[tie_rows[tied_granted]]] += rem[stop] / p_max  # final partial grant
+    return PowerAllocation(omega=omega, p_max=p_max, p_total=p_total)

@@ -179,8 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # outputs are written only once every trial is scored
-        print(f"error: out of memory ({exc}); delta_r sizes the greedy power fill and "
-              "users_per_trial the user placement", file=sys.stderr)
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; users_per_trial, trials, m_x and m_y "
+              "size the run", file=sys.stderr)
         return 2
     # every command but heatmap draws channels through the capped quadrature
     needed = converged_nodes(cfg.scattering_spread(), cfg.array_config(), math.inf)

@@ -176,9 +176,9 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_INT_KEYS = {"nbr", "r", "m_x", "m_y", "n_sectors", "quadrature_points",
-             "users_per_trial", "trials", "seed"}
-_TUPLE_KEYS = {"sigma_sf"}
+# each key's type, read from its annotation (a string under postponed evaluation)
+_INT_KEYS = {f.name for f in fields(ScenarioConfig) if f.type in ("int", "int | None")}
+_TUPLE_KEYS = {f.name for f in fields(ScenarioConfig) if f.type.startswith("tuple[")}
 _ALL_KEYS = {f.name for f in fields(ScenarioConfig)}
 
 

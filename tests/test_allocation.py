@@ -378,7 +378,7 @@ def fill(omega_min, gains, *rest):
 
 
 class TestFillMatchesHeap:
-    """The closed-form replay equals the heap loop bit for bit."""
+    """The windowed replay equals the heap loop bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -397,11 +397,11 @@ class TestFillMatchesHeap:
         assert (got.p_max, got.p_total, got.qos_feasible) == (
             want.p_max, want.p_total, want.qos_feasible)
 
-    def test_short_level_rebuilds(self, monkeypatch):
-        # a water level far below the stop makes the replay run again
-        monkeypatch.setattr(
-            allocation, "_water_level", lambda key0, p_rem: float(key0.min())
-        )
+    @pytest.mark.parametrize("window", [1, 64])
+    def test_small_windows(self, window, monkeypatch):
+        # one or a few keys per user and window: the replay runs over many
+        # windows and carries keys, omega and the leftover between them
+        monkeypatch.setattr(allocation, "_WINDOW_KEYS", window)
         for seed in range(5):
             args = fill_case(seed, 200, 1.0, 0.05, 20.0, seed % 2 == 0)
             omega, _got = fill(*args)
@@ -415,25 +415,38 @@ class TestFillMatchesHeap:
 
     def test_memory_follows_grants(self):
         # 1200 users at a 50 dBm budget: 32k grants, up to 111 for one
-        # user. The candidate keys stop near the water level, so the call's
-        # peak stays under 1 MB; the keys alone of an n x k_max candidate
-        # set would take 1.1 MB.
-        from hapsim.config import ScenarioConfig
-        from hapsim.harness import dbm_to_watts, prepare_trial
-
-        cfg = ScenarioConfig(bandwidth=20e6, r=1, quadrature_points=2)
-        state = prepare_trial(cfg, 42, 0)
-        p = dbm_to_watts(50.0)
-        rho, qos = cfg.rho(p), cfg.qos()
-        omega_min = min_power_coefficients(state.gain, rho, qos, p, p)
-        assert len(omega_min) == 1200
-        tracemalloc.start()
-        try:
-            got = fill_remaining_power(omega_min, state.gain, rho, p, p, qos)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # user. The replay builds one window of candidate keys at a time,
+        # so the call's peak stays under 1 MB; the keys alone of an
+        # n x k_max candidate set would take 1.1 MB.
+        got, peak, (state, omega_min, rho, p, qos) = traced_fill_at_50_dbm(0.05)
         assert peak < 1 << 20
         gains = dict(zip(state.served.user_id.tolist(), state.gain.tolist()))
         want = reference_fill(by_id(gains, omega_min), gains, rho, p, p, qos)
         assert list(by_id(gains, got.omega).items()) == list(want.omega.items())
+
+    def test_memory_does_not_follow_grant_count(self):
+        # the same users at delta_r = 5e-4: about 3.2M grants, a hundred
+        # times as many, under the same 1 MB
+        assert traced_fill_at_50_dbm(5e-4)[1] < 1 << 20
+
+
+def traced_fill_at_50_dbm(delta_r):
+    """fill_remaining_power on one 20 MHz, r = 1 trial of 1200 users at
+    50 dBm: the allocation, the call's peak traced memory and the
+    trial's state, floors, rho, power and QoS spec."""
+    from hapsim.config import ScenarioConfig
+    from hapsim.harness import dbm_to_watts, prepare_trial
+
+    cfg = ScenarioConfig(bandwidth=20e6, r=1, quadrature_points=2, delta_r=delta_r)
+    state = prepare_trial(cfg, 42, 0)
+    p = dbm_to_watts(50.0)
+    rho, qos = cfg.rho(p), cfg.qos()
+    omega_min = min_power_coefficients(state.gain, rho, qos, p, p)
+    assert len(omega_min) == 1200
+    tracemalloc.start()
+    try:
+        got = fill_remaining_power(omega_min, state.gain, rho, p, p, qos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak, (state, omega_min, rho, p, qos)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kernel_path_line
 from hapsim.geometry import (
     ArrayConfig,
     AngularCoordinates,
@@ -401,7 +402,8 @@ class TestLagCovariances:
     def test_dense_bytes(self):
         dense = np.asarray(self.covariances(300))
         assert dense.shape == (300, 32, 32) and dense.dtype == complex
-        assert hashlib.sha256(dense.tobytes()).hexdigest() == self.DENSE_SHA256
+        digest = hashlib.sha256(dense.tobytes()).hexdigest()
+        assert digest == self.DENSE_SHA256, kernel_path_line()
 
     def test_indexing(self):
         cov = self.covariances(40)

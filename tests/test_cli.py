@@ -95,8 +95,9 @@ class TestUnrunnableValidConfigs:
     one error: line and no files. Each is tiny.cfg's keys at trials = 1 and
     p_max = 100 W (50 dBm) plus one line, run in a child process capped at
     3 GB of address space. The QoS lines give 2^r_min or a greedy step
-    2^delta_r - 1 that is not finite and positive; the others ask for more
-    memory than the cap, and the error line names the keys that size it."""
+    2^delta_r - 1 that is not finite and positive, or more greedy steps
+    than the fill takes; the last asks for more memory than the cap, and
+    its error line names the keys that size a run."""
 
     @pytest.mark.parametrize(
         "line, error",
@@ -104,9 +105,9 @@ class TestUnrunnableValidConfigs:
             ("delta_r = 1e-17", "error: delta_r = 1e-17 gives a greedy step 2**delta_r - 1 of 0"),
             ("delta_r = 2000", "error: delta_r must be < 1024"),
             ("r_min = 2000", "error: r_min must be < 1024"),
-            # the fill's candidate keys: 3.17 EiB, and 32.7 GiB
-            ("delta_r = 1e-15", "error: out of memory"),
-            ("delta_r = 1e-7", "error: out of memory"),
+            # about 4.6e17 and 4.4e9 greedy fill steps, over the fill's 2**30
+            ("delta_r = 1e-15", "error: p_max 100.0 W: delta_r = 1e-15 needs about"),
+            ("delta_r = 1e-07", "error: p_max 100.0 W: delta_r = 1e-07 needs about"),
             # 22.4 GiB for the disk drop's first draw, refused at once
             ("users_per_trial = 3000000000", "error: out of memory"),
         ],
@@ -122,8 +123,22 @@ class TestUnrunnableValidConfigs:
         assert code == 2
         assert len(stderr) == 1 and stderr[0].startswith(error), stderr
         if error.endswith("out of memory"):
-            assert "delta_r" in stderr[0] and "users_per_trial" in stderr[0]
+            assert all(key in stderr[0] for key in ("users_per_trial", "trials", "m_x", "m_y"))
         assert files == []
+
+    @pytest.mark.parametrize("exc, head", [
+        (MemoryError(), "error: out of memory; "),
+        (MemoryError("Unable to allocate 2.24 GiB"),
+         "error: out of memory (Unable to allocate 2.24 GiB); "),
+    ], ids=["bare", "with message"])
+    def test_out_of_memory_line(self, exc, head, tmp_path, capsys, monkeypatch):
+        # a MemoryError with no message leaves no empty parentheses
+        def run(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, "run", run)
+        assert cli.main(["run", "--config", str(TINY), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == head + "users_per_trial, trials, m_x and m_y size the run\n"
 
 
 class TestQuadratureCap:

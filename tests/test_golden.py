@@ -68,21 +68,17 @@ CHANGES.md:
 
 import argparse
 import csv
-import ctypes
 import io
 import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import kernel_path_line
 from hapsim import cli
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# (OpenBLAS core, numpy SIMD level) the goldens were written on
-RECORDED_KERNEL_PATH = ("SkylakeX", "AVX512_SPR")
 
 COMMANDS = {
     "run": ["run"],
@@ -129,24 +125,6 @@ def check_golden(config, name, tmp_path):
         assert got == want, mismatch_report(file, got, want)
 
 
-def kernel_path() -> tuple[str, str]:
-    """This process's OpenBLAS core and numpy's highest SIMD dispatch
-    target found on the CPU; "unknown" where the build does not say."""
-    core = simd = "unknown"
-    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"):
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                core = corename().decode()
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-        simd = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)][-1]
-    except (ImportError, IndexError):
-        pass
-    return core, simd
-
-
 def column_changes(got: bytes, want: bytes) -> str:
     """Largest |got - want| / |want| per column whose values all read as
     numbers, rows paired in order."""
@@ -166,12 +144,7 @@ def column_changes(got: bytes, want: bytes) -> str:
 
 
 def mismatch_report(file: str, got: bytes, want: bytes) -> str:
-    core, simd = kernel_path()
-    lines = [
-        f"{file} differs from its golden",
-        f"kernel path: OpenBLAS {core}, numpy SIMD {simd} running; "
-        f"OpenBLAS {RECORDED_KERNEL_PATH[0]}, numpy SIMD {RECORDED_KERNEL_PATH[1]} recorded",
-    ]
+    lines = [f"{file} differs from its golden", kernel_path_line()]
     if file.endswith(".csv"):
         lines.append("largest relative change per column: " + column_changes(got, want))
     return "\n".join(lines)
